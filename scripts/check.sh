@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus robustness passes: fault-injection smoke tests on the
-# CLI, ThreadSanitizer on the execution engine, AddressSanitizer over the
+# CLI, ThreadSanitizer on the concurrent code, AddressSanitizer over the
 # full tier-1 suite, and UndefinedBehaviorSanitizer over the full suite.
 #
 #   scripts/check.sh            full check (build + ctest + faults + sanitizers)
@@ -480,16 +480,21 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "== TSan: engine_test + sta_test + server_test under -fsanitize=thread =="
+echo "== TSan: engine/sta/server/litho/flow tests under -fsanitize=thread =="
 # sta_test drives the compiled kernel through run_parallel at several
 # thread counts, extending race coverage to the flat-arena evaluate path;
 # server_test covers the daemon's lane pool, watchdog, and the JobQueue
-# close/drain races under concurrent pushers.
+# close/drain races under concurrent pushers; litho_test races image()
+# calls on one simulator's TCC cache, and flow_test runs the cold-setup
+# fan-out (concurrent OPC solves on one engine) in every cold SvaFlow.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j --target engine_test sta_test server_test
+cmake --build build-tsan -j --target engine_test sta_test server_test \
+  litho_test flow_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/litho_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/flow_test
 
 echo "== ASan: full tier-1 suite + kernel bench smoke under -fsanitize=address =="
 cmake -B build-asan -S . -DSVA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo

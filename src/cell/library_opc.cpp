@@ -74,19 +74,40 @@ LibraryOpcCellResult library_opc_fallback(const CellMaster& master) {
   return result;
 }
 
-std::vector<LibraryOpcCellResult> library_opc_all(
-    const std::vector<CellMaster>& masters, const OpcEngine& engine,
-    const LibraryOpcConfig& config, FaultPolicy policy) {
+LibraryOpcAttempt try_library_opc_cell(const CellMaster& master,
+                                       const OpcEngine& engine,
+                                       const LibraryOpcConfig& config) {
+  LibraryOpcAttempt attempt;
+  try {
+    attempt.result = library_opc_cell(master, engine, config);
+  } catch (...) {
+    attempt.error = std::current_exception();
+  }
+  return attempt;
+}
+
+std::vector<LibraryOpcCellResult> resolve_library_opc(
+    const std::vector<CellMaster>& masters,
+    std::vector<LibraryOpcAttempt> attempts, FaultPolicy policy) {
+  SVA_REQUIRE(attempts.size() <= masters.size());
   std::vector<LibraryOpcCellResult> out;
-  out.reserve(masters.size());
-  for (const CellMaster& m : masters) {
-    if (policy == FaultPolicy::Strict) {
-      out.push_back(library_opc_cell(m, engine, config));
+  out.reserve(attempts.size());
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    LibraryOpcAttempt& attempt = attempts[i];
+    if (!attempt.error) {
+      out.push_back(std::move(attempt.result));
       continue;
     }
+    const CellMaster& m = masters[i];
     try {
-      out.push_back(library_opc_cell(m, engine, config));
+      std::rethrow_exception(attempt.error);
     } catch (const std::exception& e) {
+      if (policy == FaultPolicy::Strict) {
+        diag_error("opc", "opc_cell_failed",
+                   "cell " + m.name() + " OPC solve failed (" + e.what() +
+                       ")");
+        throw;
+      }
       out.push_back(library_opc_fallback(m));
       MetricsRegistry::global().counter("opc.cells_degraded").add();
       diag_warn("opc", "opc_cell_degraded",
@@ -94,7 +115,20 @@ std::vector<LibraryOpcCellResult> library_opc_all(
                     "); using uniform drawn-CD fallback");
     }
   }
+  SVA_REQUIRE(out.size() == masters.size());
   return out;
+}
+
+std::vector<LibraryOpcCellResult> library_opc_all(
+    const std::vector<CellMaster>& masters, const OpcEngine& engine,
+    const LibraryOpcConfig& config, FaultPolicy policy) {
+  std::vector<LibraryOpcAttempt> attempts;
+  attempts.reserve(masters.size());
+  for (const CellMaster& m : masters) {
+    attempts.push_back(try_library_opc_cell(m, engine, config));
+    if (policy == FaultPolicy::Strict && attempts.back().error) break;
+  }
+  return resolve_library_opc(masters, std::move(attempts), policy);
 }
 
 }  // namespace sva

@@ -10,6 +10,7 @@
 // printed CD transfers; boundary devices are handled separately with the
 // pitch->CD lookup table.
 
+#include <exception>
 #include <vector>
 
 #include "cell/cell_master.hpp"
@@ -59,12 +60,35 @@ LibraryOpcCellResult library_opc_cell(const CellMaster& master,
 /// shifts come from the full uniform budget).
 LibraryOpcCellResult library_opc_fallback(const CellMaster& master);
 
-/// Run library OPC on every master of a library; results index-aligned
-/// with the library.  Under FaultPolicy::Degrade a failing cell solve is
-/// isolated: it yields library_opc_fallback(master), a warning diagnostic
-/// (code "opc_cell_degraded"), and the "opc.cells_degraded" metric, and
-/// the remaining masters still solve.  Under Strict the first failure
-/// propagates.
+/// One master's solve before the fault policy is applied: the result, or
+/// the exception the solve threw.
+struct LibraryOpcAttempt {
+  LibraryOpcCellResult result;
+  std::exception_ptr error;
+};
+
+/// library_opc_cell with any failure captured instead of thrown, so
+/// solves can run on any thread and be judged afterwards.
+LibraryOpcAttempt try_library_opc_cell(const CellMaster& master,
+                                       const OpcEngine& engine,
+                                       const LibraryOpcConfig& config = {});
+
+/// The fault rule of library-based OPC, applied to `attempts`
+/// (index-aligned with `masters`) in master order, so the outcome does not
+/// depend on the order the solves ran in.  Under FaultPolicy::Degrade each
+/// failed cell yields library_opc_fallback(master), a warning diagnostic
+/// (code "opc_cell_degraded") and the "opc.cells_degraded" metric.  Under
+/// Strict the lowest-index failure is reported as an error diagnostic
+/// (code "opc_cell_failed", naming the cell) and rethrown; `attempts` may
+/// then end at that failure.
+std::vector<LibraryOpcCellResult> resolve_library_opc(
+    const std::vector<CellMaster>& masters,
+    std::vector<LibraryOpcAttempt> attempts, FaultPolicy policy);
+
+/// Run library OPC on every master of a library, serially; results
+/// index-aligned with the library.  Failures follow resolve_library_opc:
+/// under Degrade the remaining masters still solve, under Strict the first
+/// failure stops the loop and propagates.
 std::vector<LibraryOpcCellResult> library_opc_all(
     const std::vector<CellMaster>& masters, const OpcEngine& engine,
     const LibraryOpcConfig& config = {},

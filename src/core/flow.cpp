@@ -45,20 +45,15 @@ SvaFlow::SvaFlow(const FlowConfig& config)
   } else {
     if (!config_.cache_dir.empty())
       MetricsRegistry::global().counter("flow.setup_disk_misses").add();
-    log_info("flow: library OPC of ", library_.size(), " masters");
-    library_opc_ = library_opc_all(library_.masters(), engine_,
-                                   config_.library_opc,
-                                   config_.fault_policy);
+    log_info("flow: library OPC of ", library_.size(), " masters and ",
+             config_.table_spacings.size(), " pitch gratings on ",
+             ThreadPool::default_thread_count(), " lanes");
+    run_setup_solves();
     setup_degraded_ = std::any_of(
         library_opc_.begin(), library_opc_.end(),
         [](const LibraryOpcCellResult& r) { return r.degraded; });
     if (setup_degraded_)
       MetricsRegistry::global().counter("flow.setup_degraded").add();
-    log_info("flow: post-OPC pitch characterization (",
-             config_.table_spacings.size(), " spacings)");
-    pitch_points_ = characterize_post_opc_pitch(
-        wafer_, engine_, config_.cell_tech.gate_length,
-        config_.table_spacings);
     // Never persist a degraded setup: the fallback CDs are a conservative
     // stand-in, not characterization data a later healthy run should
     // warm-start from.
@@ -78,6 +73,57 @@ SvaFlow::SvaFlow(const FlowConfig& config)
   context_ = std::make_unique<ContextLibrary>(
       characterized_, library_opc_, *boundary_model_, config_.bins);
   context_cache_ = std::make_unique<ContextCache>(*context_);
+}
+
+void SvaFlow::run_setup_solves() {
+  // Every master's library OPC and every grating's pitch solve is an
+  // independent pure function of the engine, so the 20-odd solves run as
+  // one flat fan-out into index-aligned slots: the results are
+  // bit-identical to the serial library_opc_all and
+  // characterize_post_opc_pitch at any thread count.  The pool lives only
+  // for this block and the constructing thread is its last lane (a 1-CPU
+  // host runs a plain loop).
+  const std::vector<CellMaster>& masters = library_.masters();
+  const std::size_t n_masters = masters.size();
+  const std::size_t n_items = n_masters + config_.table_spacings.size();
+  std::vector<LibraryOpcAttempt> opc(n_masters);
+  std::vector<PostOpcPitchPoint> points(config_.table_spacings.size());
+  std::vector<std::exception_ptr> point_errors(points.size());
+  std::vector<char> done(n_items, 0);
+  // Item bodies never throw: a failure lands in its slot and is judged
+  // after the join, in index order, whatever the schedule.
+  auto solve = [&](std::size_t i) {
+    if (i < n_masters) {
+      opc[i] = try_library_opc_cell(masters[i], engine_, config_.library_opc);
+    } else {
+      const std::size_t j = i - n_masters;
+      try {
+        points[j] = characterize_post_opc_pitch(
+            engine_, config_.cell_tech.gate_length,
+            {config_.table_spacings[j]})[0];
+      } catch (...) {
+        point_errors[j] = std::current_exception();
+      }
+    }
+    done[i] = 1;
+  };
+  {
+    ThreadPool pool(ThreadPool::default_thread_count() - 1);
+    try {
+      pool.parallel_for(0, n_items, solve, 1);
+    } catch (const FailPointError&) {
+      // An injected pool-task fault skipped its item before the body ran;
+      // the loop below runs it here instead.
+    }
+  }
+  for (std::size_t i = 0; i < n_items; ++i)
+    if (!done[i]) solve(i);
+
+  library_opc_ = resolve_library_opc(masters, std::move(opc),
+                                     config_.fault_policy);
+  for (const std::exception_ptr& error : point_errors)
+    if (error) std::rethrow_exception(error);
+  pitch_points_ = std::move(points);
 }
 
 std::uint64_t SvaFlow::setup_content_hash() const {

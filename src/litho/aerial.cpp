@@ -98,6 +98,7 @@ const AerialImageSimulator::Tcc& AerialImageSimulator::tcc_for(
   const auto key = std::make_pair(
       static_cast<long long>(std::llround(period * 1000.0)),
       static_cast<long long>(std::llround(defocus * 1000.0)));
+  std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = cache_.find(key);
   if (it == cache_.end())
     it = cache_.emplace(key, compute_tcc(period, defocus)).first;
@@ -106,7 +107,7 @@ const AerialImageSimulator::Tcc& AerialImageSimulator::tcc_for(
 
 ImageProfile AerialImageSimulator::image(const MaskPattern1D& mask,
                                          Nm defocus) const {
-  ++images_computed_;
+  images_computed_.fetch_add(1, std::memory_order_relaxed);
   const Tcc& tcc = tcc_for(mask.period(), defocus);
   const int n_max = tcc.n_max;
   const int n_ord = 2 * n_max + 1;

@@ -19,15 +19,19 @@
 // The TCC depends only on (period, defocus, optics), not on the mask
 // contents, so it is cached: OPC iterations that re-simulate an edited mask
 // at a fixed supercell period reuse the same TCC and only recompute the
-// O(N^2) coefficient contraction.
+// O(N^2) coefficient contraction.  image() is safe to call concurrently:
+// the cache is filled under a lock (each TCC is computed once, by the first
+// caller) and its map nodes never move, so a returned TCC stays valid.
 //
 // The resulting image is stored as a short cosine series (class
 // ImageProfile), which can be evaluated exactly at any x; CD measurement
 // then uses bisection on the analytic profile instead of grid sampling.
 
+#include <atomic>
 #include <complex>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "litho/mask1d.hpp"
@@ -76,11 +80,16 @@ class AerialImageSimulator {
 
   /// Number of distinct TCCs computed so far (cache statistics; used by
   /// tests and the OPC runtime accounting).
-  std::size_t tcc_cache_size() const { return cache_.size(); }
+  std::size_t tcc_cache_size() const {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    return cache_.size();
+  }
 
   /// Total images computed (proxy for simulation work; the Table 1
   /// runtime comparison uses wall-clock, this is for sanity checks).
-  std::size_t images_computed() const { return images_computed_; }
+  std::size_t images_computed() const {
+    return images_computed_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Tcc {
@@ -95,8 +104,9 @@ class AerialImageSimulator {
   OpticsConfig optics_;
   std::vector<SourcePoint> source_;
   // Cache key: (period, defocus) quantized to 1e-3 nm.
+  mutable std::mutex cache_mu_;
   mutable std::map<std::pair<long long, long long>, Tcc> cache_;
-  mutable std::size_t images_computed_ = 0;
+  mutable std::atomic<std::size_t> images_computed_{0};
 };
 
 }  // namespace sva

@@ -5,10 +5,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include "core/flow.hpp"
+#include "engine/thread_pool.hpp"
 #include "opc/pitch_table.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 namespace {
@@ -222,6 +225,80 @@ TEST(FlowCache, StaleSnapshotIsIgnoredAcrossConfigs) {
   // Each configuration warm-starts from its own snapshot.
   EXPECT_TRUE(SvaFlow{config}.setup_from_cache());
   EXPECT_TRUE(SvaFlow{other}.setup_from_cache());
+}
+
+
+// ------------------------------------------- cold-setup fan-out
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::uint64_t engine_tasks() {
+  return MetricsRegistry::global().counter("engine.tasks").value();
+}
+
+TEST(FlowFanOut, ColdSetupIsBitIdenticalToSerialFreeFunctions) {
+  // flow() is a cold construction, so its products came from the
+  // fan-out; the serial public functions must reproduce them bit for bit.
+  const FlowConfig& cfg = flow().config();
+  const std::vector<LibraryOpcCellResult> serial_opc = library_opc_all(
+      flow().library().masters(), flow().opc_engine(), cfg.library_opc);
+  const std::vector<PostOpcPitchPoint> serial_points =
+      characterize_post_opc_pitch(flow().opc_engine(),
+                                  cfg.cell_tech.gate_length,
+                                  cfg.table_spacings);
+
+  ASSERT_EQ(flow().library_opc_results().size(), serial_opc.size());
+  for (std::size_t ci = 0; ci < serial_opc.size(); ++ci) {
+    const LibraryOpcCellResult& got = flow().library_opc_results()[ci];
+    EXPECT_EQ(got.device_cd, serial_opc[ci].device_cd) << "cell " << ci;
+    EXPECT_EQ(got.device_mask_width, serial_opc[ci].device_mask_width)
+        << "cell " << ci;
+    EXPECT_EQ(got.images_simulated, serial_opc[ci].images_simulated);
+    EXPECT_FALSE(got.degraded);
+  }
+  ASSERT_EQ(flow().pitch_points().size(), serial_points.size());
+  for (std::size_t i = 0; i < serial_points.size(); ++i) {
+    EXPECT_EQ(flow().pitch_points()[i].spacing, serial_points[i].spacing);
+    EXPECT_EQ(flow().pitch_points()[i].printed_cd,
+              serial_points[i].printed_cd);
+    EXPECT_EQ(flow().pitch_points()[i].mask_bias, serial_points[i].mask_bias);
+  }
+}
+
+TEST(FlowFanOut, TwoColdFlowsWriteByteIdenticalSnapshots) {
+  std::string snapshots[2];
+  for (int k = 0; k < 2; ++k) {
+    const std::string dir =
+        ::testing::TempDir() + "sva_flow_fanout_" + std::to_string(k);
+    std::filesystem::remove_all(dir);
+    FlowConfig config;
+    config.cache_dir = dir;
+    const SvaFlow cold{config};
+    EXPECT_FALSE(cold.setup_from_cache());
+    snapshots[k] = read_bytes(cold.setup_cache_file_path(dir));
+  }
+  EXPECT_FALSE(snapshots[0].empty());
+  EXPECT_EQ(snapshots[0], snapshots[1]);
+}
+
+TEST(FlowFanOut, WarmConstructionSpawnsNoPool) {
+  const std::string dir = ::testing::TempDir() + "sva_flow_fanout_warm";
+  std::filesystem::remove_all(dir);
+  FlowConfig config;
+  config.cache_dir = dir;
+
+  const std::uint64_t before_cold = engine_tasks();
+  const SvaFlow cold{config};
+  const std::uint64_t cold_tasks = engine_tasks() - before_cold;
+  if (ThreadPool::default_thread_count() > 1) EXPECT_GT(cold_tasks, 0u);
+
+  const std::uint64_t before_warm = engine_tasks();
+  const SvaFlow warm{config};
+  EXPECT_TRUE(warm.setup_from_cache());
+  EXPECT_EQ(engine_tasks() - before_warm, 0u);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <complex>
+#include <thread>
+#include <vector>
 
 #include "litho/aerial.hpp"
 #include "litho/bossung.hpp"
@@ -201,6 +204,46 @@ TEST(Aerial, TccCacheReused) {
   (void)sim.image(m1, 100.0);
   EXPECT_EQ(sim.tcc_cache_size(), 2u);
   EXPECT_EQ(sim.images_computed(), 3u);
+}
+
+TEST(Aerial, ConcurrentImagesShareOneTccAndMatchSerial) {
+  // Threads that first hit a not-yet-cached period all need its TCC at
+  // once: it must be computed exactly once, and every image must be the
+  // bits a serial simulator produces.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 8;
+  constexpr Nm kPeriod = 3000.0;
+  auto mask_of = [](std::size_t t, std::size_t k) {
+    return MaskPattern1D::grating(
+        80.0 + 2.0 * static_cast<double>(t * kPerThread + k), kPeriod);
+  };
+  std::vector<std::vector<double>> serial(kThreads * kPerThread);
+  {
+    const AerialImageSimulator reference(default_optics());
+    for (std::size_t t = 0; t < kThreads; ++t)
+      for (std::size_t k = 0; k < kPerThread; ++k)
+        serial[t * kPerThread + k] =
+            reference.image(mask_of(t, k), 0.0).sample(128);
+  }
+
+  const AerialImageSimulator sim(default_optics());
+  std::vector<std::vector<double>> concurrent(kThreads * kPerThread);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::size_t k = 0; k < kPerThread; ++k)
+        concurrent[t * kPerThread + k] =
+            sim.image(mask_of(t, k), 0.0).sample(128);
+    });
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(sim.tcc_cache_size(), 1u);
+  EXPECT_EQ(sim.images_computed(), kThreads * kPerThread);
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(concurrent[i], serial[i]) << "image " << i;
 }
 
 TEST(Aerial, MeanIntensityMatchesSampleAverage) {

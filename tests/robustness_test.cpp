@@ -573,6 +573,92 @@ TEST_F(OpcDegradeTest, StrictFlowConstructionThrows) {
   EXPECT_THROW(SvaFlow{cfg}, FailPointError);
 }
 
+// The cold-setup fan-out resolves per-master faults after the join, in
+// master order, so what a fault does never depends on the schedule.
+
+void expect_same_setup(const SvaFlow& a, const SvaFlow& b) {
+  ASSERT_EQ(a.library_opc_results().size(), b.library_opc_results().size());
+  for (std::size_t i = 0; i < a.library_opc_results().size(); ++i) {
+    const LibraryOpcCellResult& x = a.library_opc_results()[i];
+    const LibraryOpcCellResult& y = b.library_opc_results()[i];
+    EXPECT_EQ(x.degraded, y.degraded) << "cell " << i;
+    EXPECT_EQ(x.device_cd, y.device_cd) << "cell " << i;
+    EXPECT_EQ(x.device_mask_width, y.device_mask_width) << "cell " << i;
+    EXPECT_EQ(x.images_simulated, y.images_simulated) << "cell " << i;
+  }
+  ASSERT_EQ(a.pitch_points().size(), b.pitch_points().size());
+  for (std::size_t i = 0; i < a.pitch_points().size(); ++i) {
+    EXPECT_EQ(a.pitch_points()[i].printed_cd, b.pitch_points()[i].printed_cd);
+    EXPECT_EQ(a.pitch_points()[i].mask_bias, b.pitch_points()[i].mask_bias);
+  }
+}
+
+void expect_same_diagnostics(const std::vector<Diagnostic>& a,
+                             const std::vector<Diagnostic>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].severity, b[i].severity) << "diagnostic " << i;
+    EXPECT_EQ(a[i].component, b[i].component) << "diagnostic " << i;
+    EXPECT_EQ(a[i].code, b[i].code) << "diagnostic " << i;
+    EXPECT_EQ(a[i].message, b[i].message) << "diagnostic " << i;
+  }
+}
+
+TEST_F(OpcDegradeTest, ColdFanOutDegradesTheSameCellsInMasterOrder) {
+  FailPoints::set("opc.cell_solve", "prob(0.8)");
+  const SvaFlow first{FlowConfig{}};
+  const std::vector<Diagnostic> first_diags = Diagnostics::global().snapshot();
+  Diagnostics::global().reset();
+  const SvaFlow second{FlowConfig{}};
+  const std::vector<Diagnostic> second_diags =
+      Diagnostics::global().snapshot();
+  Diagnostics::global().reset();
+  expect_same_setup(first, second);
+  expect_same_diagnostics(first_diags, second_diags);
+
+  // ...and the same as the serial library_opc_all, diagnostic for
+  // diagnostic.
+  const std::vector<LibraryOpcCellResult> serial =
+      library_opc_all(test_library().masters(), first.opc_engine(), {},
+                      FaultPolicy::Degrade);
+  expect_same_diagnostics(first_diags, Diagnostics::global().snapshot());
+  std::size_t degraded = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(first.library_opc_results()[i].degraded, serial[i].degraded);
+    degraded += serial[i].degraded ? 1 : 0;
+  }
+  EXPECT_TRUE(first.setup_degraded());
+  EXPECT_GT(degraded, 0u);
+  EXPECT_LT(degraded, serial.size());
+}
+
+TEST_F(OpcDegradeTest, PoolTaskFaultsLeaveColdSetupIntact) {
+  // engine.task fires in the pool's task wrapper before the body; every
+  // item it skips runs on the constructing thread instead.
+  FailPoints::set("engine.task", "throw");
+  const SvaFlow faulted{FlowConfig{}};
+  if (ThreadPool::default_thread_count() > 1)
+    EXPECT_GT(FailPoints::fired_count("engine.task"), 0u);
+  FailPoints::clear_all();
+  EXPECT_FALSE(faulted.setup_degraded());
+  expect_same_setup(faulted, shared_flow());
+}
+
+TEST_F(OpcDegradeTest, StrictColdFanOutReportsTheFirstMaster) {
+  FailPoints::set("opc.cell_solve", "throw");
+  FlowConfig cfg;
+  cfg.fault_policy = FaultPolicy::Strict;
+  EXPECT_THROW(SvaFlow{cfg}, FailPointError);
+  const std::vector<Diagnostic> diags = Diagnostics::global().snapshot();
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].severity, DiagSeverity::Error);
+  EXPECT_EQ(diags[0].code, "opc_cell_failed");
+  EXPECT_EQ(diags[0].message.rfind(
+                "cell " + test_library().masters()[0].name() + " ", 0),
+            0u)
+      << diags[0].message;
+}
+
 // ------------------------------------------------- batch fault isolation
 
 using BatchFaultTest = RobustnessTest;
