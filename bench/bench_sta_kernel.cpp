@@ -1,6 +1,7 @@
 // Compiled flat-STA kernel benchmark: the data-oriented program of
 // sta/compiled.hpp vs the scalar netlist interpreter (Sta::run_scalar),
-// plus the priority-queue incremental what-if path vs a full recompute.
+// plus the incremental what-if path (the kernel's dirty-record sweep) vs a
+// full recompute.
 //
 // Every compiled wall is only reported after asserting bit-identity with
 // the scalar result on the same scale -- a speedup that changed an answer
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netlist/iscas85.hpp"
@@ -72,7 +74,7 @@ struct CircuitRow {
   double compiled_ms = 0.0;
   double speedup = 0.0;
   double incr_full_ms = 0.0;   ///< full recompute per what-if
-  double incr_pq_ms = 0.0;     ///< pq dirty propagation per what-if
+  double incr_ms = 0.0;        ///< dirty-sweep propagation per what-if
   double incr_speedup = 0.0;
   double cone_fraction = 0.0;  ///< gates touched / total, mean
 };
@@ -108,7 +110,7 @@ CircuitRow bench_circuit(const std::string& name, const CellLibrary& lib,
       best_wall_ms(repeats, passes, [&] { (void)sta.run(scale); });
   row.speedup = row.scalar_ms / row.compiled_ms;
 
-  // Incremental what-if: repeated 3-gate scale edits, pq dirty cone vs
+  // Incremental what-if: repeated 3-gate scale edits, dirty cone vs
   // full recompute (what the ECO candidate loop pays per candidate).
   Rng rng("incr-" + name);
   std::vector<std::vector<double>> factors(nl.gates().size());
@@ -135,14 +137,14 @@ CircuitRow bench_circuit(const std::string& name, const CellLibrary& lib,
   Counter& touched = MetricsRegistry::global().counter(
       "sta.kernel.incremental_gates_touched");
   const std::uint64_t touched0 = touched.value();
-  row.incr_pq_ms = best_wall_ms(repeats, 1, [&] {
+  row.incr_ms = best_wall_ms(repeats, 1, [&] {
     for (std::size_t e = 0; e < edit_scales.size(); ++e)
       (void)sta.run_incremental(edit_scales[e], base, edit_seeds[e]);
   }) / static_cast<double>(edit_scales.size());
   row.incr_full_ms = best_wall_ms(repeats, 1, [&] {
     for (const MatrixScale& s : edit_scales) (void)sta.run(s);
   }) / static_cast<double>(edit_scales.size());
-  row.incr_speedup = row.incr_full_ms / row.incr_pq_ms;
+  row.incr_speedup = row.incr_full_ms / row.incr_ms;
   row.cone_fraction =
       static_cast<double>(touched.value() - touched0) /
       static_cast<double>(repeats * edit_scales.size() * nl.gates().size());
@@ -157,7 +159,7 @@ std::string row_json(const CircuitRow& r) {
   j += ", \"compiled_ms\": " + fmt(r.compiled_ms, 4);
   j += ", \"speedup\": " + fmt(r.speedup, 2);
   j += ", \"whatif_full_ms\": " + fmt(r.incr_full_ms, 4);
-  j += ", \"whatif_pq_ms\": " + fmt(r.incr_pq_ms, 4);
+  j += ", \"whatif_incr_ms\": " + fmt(r.incr_ms, 4);
   j += ", \"whatif_speedup\": " + fmt(r.incr_speedup, 2);
   j += ", \"cone_fraction\": " + fmt(r.cone_fraction, 4);
   j += "}";
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> circuits = {"C2670", "C5315", "C6288",
                                              "C7552"};
   Table table({"Testcase", "Gates", "Arcs", "Scalar ms", "Compiled ms",
-               "Speedup", "WhatIf full ms", "WhatIf pq ms", "Speedup",
+               "Speedup", "WhatIf full ms", "WhatIf incr ms", "Speedup",
                "Cone"});
   std::vector<std::string> rows_json;
   double largest_speedup = 0.0;
@@ -200,7 +202,7 @@ int main(int argc, char** argv) {
     table.add_row({row.name, std::to_string(row.gates),
                    std::to_string(row.arcs), fmt(row.scalar_ms, 3),
                    fmt(row.compiled_ms, 3), fmt(row.speedup, 2),
-                   fmt(row.incr_full_ms, 3), fmt(row.incr_pq_ms, 3),
+                   fmt(row.incr_full_ms, 3), fmt(row.incr_ms, 3),
                    fmt(row.incr_speedup, 2), fmt(row.cone_fraction, 3)});
     rows_json.push_back(row_json(row));
     largest_speedup = row.speedup;  // circuits are sorted by size
@@ -241,7 +243,9 @@ int main(int argc, char** argv) {
               big_sta.compiled().tables_unique(),
               big_sta.compiled().tables_total());
 
-  std::string json = "{\"circuits\": [\n  ";
+  std::string json = "{\"nproc\": " +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ", \"circuits\": [\n  ";
   for (std::size_t i = 0; i < rows_json.size(); ++i) {
     if (i) json += ",\n  ";
     json += rows_json[i];

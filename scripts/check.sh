@@ -480,18 +480,20 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "== TSan: engine/sta/server/litho/flow tests under -fsanitize=thread =="
+echo "== TSan: engine/sta/opt/server/litho/flow tests under -fsanitize=thread =="
 # sta_test drives the compiled kernel through run_parallel at several
-# thread counts, extending race coverage to the flat-arena evaluate path;
-# server_test covers the daemon's lane pool, watchdog, and the JobQueue
+# thread counts and races run_what_if calls on one Sta, extending race
+# coverage to the flat-arena evaluate path and the dirty sweep; opt_test
+# prices ECO candidates as concurrent what-ifs on one Sta; server_test covers the daemon's lane pool, watchdog, and the JobQueue
 # close/drain races under concurrent pushers; litho_test races image()
 # calls on one simulator's TCC cache, and flow_test runs the cold-setup
 # fan-out (concurrent OPC solves on one engine) in every cold SvaFlow.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j --target engine_test sta_test server_test \
-  litho_test flow_test
+cmake --build build-tsan -j --target engine_test sta_test opt_test \
+  server_test litho_test flow_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/opt_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/litho_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/flow_test

@@ -12,8 +12,11 @@
 //      their row whitespace (SVA mode only -- a context-blind corner
 //      prices every position identically, so re-spacing can never gain);
 //   3. price every candidate exactly and concurrently with
-//      Sta::run_what_if (const, allocation-local; results land in
-//      pre-sized slots, so the outcome is schedule-independent);
+//      Sta::run_what_if: an incremental sweep on the compiled kernel that
+//      evaluates only the candidate's dirty cone, bit-identical to a full
+//      analysis of the really-mutated netlist (const, allocation-local;
+//      results land in pre-sized slots, so the outcome is
+//      schedule-independent);
 //   4. commit the single best move (gain, then smallest area, then lowest
 //      gate index -- a deterministic total order) and fold its what-if
 //      timing in as the new committed state;

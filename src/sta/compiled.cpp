@@ -1,6 +1,8 @@
 #include "sta/compiled.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "engine/metrics.hpp"
 #include "util/error.hpp"
@@ -31,12 +33,6 @@ inline std::size_t seg_lookup_fixed(const double* axis, double x) {
   const std::size_t raw = count == 0 ? 0 : count - 1;
   const std::size_t hi = N - 2;
   return raw > hi ? hi : raw;
-}
-
-/// Identical FP sequence to interp::lerp.
-inline double lerp(double x0, double y0, double x1, double y1, double x) {
-  const double t = (x - x0) / (x1 - x0);
-  return y0 + t * (y1 - y0);
 }
 
 std::uint64_t hash_doubles(const std::vector<double>& v, std::uint64_t seed) {
@@ -145,21 +141,15 @@ CompiledTiming::CompiledTiming(
       rec.first_arc = static_cast<std::uint32_t>(arcs_.size());
       rec.arc_count = static_cast<std::uint32_t>(gate.fanin_nets.size());
       rec.out_net = static_cast<std::uint32_t>(gate.output_net);
+      rec.gate = static_cast<std::uint32_t>(gi);
       gate_rec_of_[gi] = static_cast<std::uint32_t>(gates_.size());
       gates_.push_back(rec);
       for (std::size_t pi = 0; pi < gate.fanin_nets.size(); ++pi) {
         const std::size_t in_net = gate.fanin_nets[pi];
-        const TableRef& t = tables[pi];
         ArcRec arc;
         arc.in_net = static_cast<std::uint32_t>(in_net);
         arc.gate = static_cast<std::uint32_t>(gi);
-        arc.arc_index = t.arc_index;
-        arc.x_off = t.x_off;
-        arc.y_off = t.y_off;
-        arc.d_off = t.d_off;
-        arc.s_off = t.s_off;
-        arc.nx = t.nx;
-        arc.ny = t.ny;
+        arc.table = tables[pi];
         // Same two operands the scalar path multiplies per evaluation,
         // so the precomputed product is the identical double.
         arc.wire_delay =
@@ -172,6 +162,20 @@ CompiledTiming::CompiledTiming(
     level_spans_.push_back(span);
   }
 
+  // Fan-out in record space for the dirty sweep.  Its correctness rests
+  // on every sink record lying strictly above its driver's record.
+  sink_begin_.reserve(gates_.size() + 1);
+  sinks_.reserve(arcs_.size());  // one sink pin per arc
+  for (std::size_t r = 0; r < gates_.size(); ++r) {
+    sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
+    for (const NetSink& sink : netlist.nets()[gates_[r].out_net].sinks) {
+      const std::uint32_t sr = gate_rec_of_[sink.gate];
+      SVA_ASSERT(sr > r);
+      sinks_.push_back(sr);
+    }
+  }
+  sink_begin_.push_back(static_cast<std::uint32_t>(sinks_.size()));
+
   // One shared (x_off, y_off, nx, ny) across every arc enables the fast
   // evaluate path: the load-axis search hoists to bind_loads and one
   // slew-axis interpolation parameter serves both the delay and slew
@@ -179,10 +183,10 @@ CompiledTiming::CompiledTiming(
   // this library); the generic per-arc path remains as fallback.
   uniform_axes_ = !arcs_.empty();
   if (uniform_axes_) {
-    x_off_ = arcs_[0].x_off;
-    y_off_ = arcs_[0].y_off;
-    nx_ = arcs_[0].nx;
-    ny_ = arcs_[0].ny;
+    x_off_ = arcs_[0].table.x_off;
+    y_off_ = arcs_[0].table.y_off;
+    nx_ = arcs_[0].table.nx;
+    ny_ = arcs_[0].table.ny;
     for (const std::vector<TableRef>& tables : cell_tables_)
       for (const TableRef& t : tables)
         uniform_axes_ = uniform_axes_ && t.x_off == x_off_ &&
@@ -198,14 +202,24 @@ CompiledTiming::CompiledTiming(
   metrics.counter("sta.kernel.arena_bytes").add(arena_bytes());
 }
 
+CompiledTiming::LoadPoint CompiledTiming::load_point(double load) const {
+  LoadPoint p;
+  p.load = load;
+  if (!uniform_axes_) return p;
+  const double* ys = arena_.data() + y_off_;
+  const std::size_t j = seg_lookup(ys, ny_, load);
+  p.seg = static_cast<std::uint32_t>(j);
+  // The exact quotient interp::lerp computes for this axis segment.
+  p.t = (load - ys[j]) / (ys[j + 1] - ys[j]);
+  return p;
+}
+
 void CompiledTiming::update_net_load(std::size_t net, double load) {
   if (!uniform_axes_) return;
   SVA_REQUIRE(net < load_seg_.size());
-  const double* ys = arena_.data() + y_off_;
-  const std::size_t j = seg_lookup(ys, ny_, load);
-  load_seg_[net] = static_cast<std::uint32_t>(j);
-  // The exact quotient interp::lerp computes for this axis segment.
-  load_t_[net] = (load - ys[j]) / (ys[j + 1] - ys[j]);
+  const LoadPoint p = load_point(load);
+  load_seg_[net] = p.seg;
+  load_t_[net] = p.t;
 }
 
 void CompiledTiming::bind_loads(const double* loads, std::size_t count) {
@@ -218,7 +232,7 @@ void CompiledTiming::gather_factors(const ArcScaleProvider& scale,
                                     std::vector<double>& out) const {
   out.resize(arcs_.size());
   for (std::size_t a = 0; a < arcs_.size(); ++a) {
-    const double factor = scale.scale(arcs_[a].gate, arcs_[a].arc_index);
+    const double factor = scale.scale(arcs_[a].gate, arcs_[a].table.arc_index);
     SVA_ASSERT_MSG(factor > 0.0, "arc scale must be positive");
     out[a] = factor;
   }
@@ -226,139 +240,203 @@ void CompiledTiming::gather_factors(const ArcScaleProvider& scale,
 
 namespace {
 
-/// The uniform-axes inner loop with a compile-time slew-axis length, so
-/// the per-arc segment search unrolls to branch-free straight-line code.
-/// Bilinear interpolation follows LookupTable2D::at's exact FP order,
-/// with the load-axis lerps expanded around the pre-resolved per-net
-/// parameter ty and the slew-axis quotient tx computed once and reused
-/// by the slew lookup (at() recomputes the identical doubles).
-template <std::size_t NX>
-void eval_uniform(const CompiledTiming::GateRec* gates, std::size_t first,
-                  std::size_t last, const CompiledTiming::ArcRec* arcs,
-                  const double* arena, const double* xs, std::size_t ny,
-                  const std::uint32_t* load_seg, const double* load_t,
-                  const double* factors, StaResult& result) {
-  double* arrival = result.arrival_ps.data();
-  double* slew = result.slew_ps.data();
-  std::size_t* from = result.from_net.data();
-
-  for (std::size_t g = first; g < last; ++g) {
-    const CompiledTiming::GateRec& gate = gates[g];
-    const std::size_t j = load_seg[gate.out_net];
-    const double ty = load_t[gate.out_net];
-    double worst_arrival = -1.0;
-    double worst_slew = 0.0;
-    std::size_t worst_from = kNoDriver;
-    const std::size_t end = gate.first_arc + gate.arc_count;
-    for (std::size_t a = gate.first_arc; a < end; ++a) {
-      const CompiledTiming::ArcRec& arc = arcs[a];
-      const double in_slew = slew[arc.in_net];
-      const std::size_t i = seg_lookup_fixed<NX>(xs, in_slew);
-      const double x0 = xs[i];
-      const double tx = (in_slew - x0) / (xs[i + 1] - x0);
-      const double* d = arena + arc.d_off + i * ny + j;
-      const double d_lo = d[0] + ty * (d[1] - d[0]);
-      const double d_hi = d[ny] + ty * (d[ny + 1] - d[ny]);
-      const double delay = d_lo + tx * (d_hi - d_lo);
-      const double arr =
-          arrival[arc.in_net] + arc.wire_delay + factors[a] * delay;
-      if (arr > worst_arrival) {
-        worst_arrival = arr;
-        const double* s = arena + arc.s_off + i * ny + j;
-        const double s_lo = s[0] + ty * (s[1] - s[0]);
-        const double s_hi = s[ny] + ty * (s[ny + 1] - s[ny]);
-        worst_slew = factors[a] * (s_lo + tx * (s_hi - s_lo));
-        worst_from = arc.in_net;
-      }
+/// The one per-gate body of every kernel pass: the worst arrival/slew/
+/// fanin over a gate's arcs, written to its output net.  `table_of(pi)`
+/// yields pin pi's tables (the record's own, or a what-if master's row)
+/// and `factor_of(pi, table)` its scale factor.  Bilinear interpolation
+/// follows LookupTable2D::at's exact FP order: the load-axis lerps are
+/// expanded around the parameter ty, and the slew-axis quotient tx is
+/// computed once and reused by the slew lookup (at() recomputes the
+/// identical doubles).  With NX > 0 every table shares the slew axis `xs`
+/// of compile-time length NX (the segment search unrolls to branch-free
+/// straight-line code) and the load grid width `ny`, and (seg, t) of the
+/// pre-resolved load point serve every arc.  NX == 0 is the generic path:
+/// both axes are searched per arc in the arc's own tables.
+template <std::size_t NX, typename TableOf, typename FactorOf>
+inline void eval_gate(const CompiledTiming::ArcRec* arcs, std::size_t count,
+                      TableOf&& table_of, FactorOf&& factor_of,
+                      double load, std::size_t seg, double t,
+                      const double* arena, const double* xs, std::size_t ny,
+                      std::size_t out_net, double* arrival, double* slew,
+                      std::size_t* from) {
+  double worst_arrival = -1.0;
+  double worst_slew = 0.0;
+  std::size_t worst_from = kNoDriver;
+  for (std::size_t pi = 0; pi < count; ++pi) {
+    const CompiledTiming::ArcRec& arc = arcs[pi];
+    const CompiledTiming::TableRef& table = table_of(pi);
+    const double factor = factor_of(pi, table);
+    const double in_slew = slew[arc.in_net];
+    std::size_t i = 0, j = seg, row = ny;
+    double tx = 0.0, ty = t;
+    if constexpr (NX > 0) {
+      i = seg_lookup_fixed<NX>(xs, in_slew);
+      tx = (in_slew - xs[i]) / (xs[i + 1] - xs[i]);
+    } else {
+      const double* ax = arena + table.x_off;
+      const double* ay = arena + table.y_off;
+      i = seg_lookup(ax, table.nx, in_slew);
+      j = seg_lookup(ay, table.ny, load);
+      row = table.ny;
+      tx = (in_slew - ax[i]) / (ax[i + 1] - ax[i]);
+      ty = (load - ay[j]) / (ay[j + 1] - ay[j]);
     }
-    arrival[gate.out_net] = worst_arrival;
-    slew[gate.out_net] = worst_slew;
-    from[gate.out_net] = worst_from;
+    const double* d = arena + table.d_off + i * row + j;
+    const double d_lo = d[0] + ty * (d[1] - d[0]);
+    const double d_hi = d[row] + ty * (d[row + 1] - d[row]);
+    const double delay = d_lo + tx * (d_hi - d_lo);
+    const double arr = arrival[arc.in_net] + arc.wire_delay + factor * delay;
+    if (arr > worst_arrival) {
+      worst_arrival = arr;
+      const double* s = arena + table.s_off + i * row + j;
+      const double s_lo = s[0] + ty * (s[1] - s[0]);
+      const double s_hi = s[row] + ty * (s[row + 1] - s[row]);
+      worst_slew = factor * (s_lo + tx * (s_hi - s_lo));
+      worst_from = arc.in_net;
+    }
+  }
+  arrival[out_net] = worst_arrival;
+  slew[out_net] = worst_slew;
+  from[out_net] = worst_from;
+}
+
+/// Call fn with the slew-axis length as a compile-time constant.  The
+/// instantiated lengths cover the characterization grids in use; anything
+/// else (or non-uniform axes, nx == 0) takes the generic path with
+/// identical results and un-hoisted searches.
+template <typename Fn>
+decltype(auto) with_axis_length(std::uint32_t nx, Fn&& fn) {
+  switch (nx) {
+    case 5: return fn(std::integral_constant<std::size_t, 5>{});
+    case 7: return fn(std::integral_constant<std::size_t, 7>{});
+    case 8: return fn(std::integral_constant<std::size_t, 8>{});
+    default: return fn(std::integral_constant<std::size_t, 0>{});
   }
 }
 
 }  // namespace
 
-void CompiledTiming::evaluate_span(std::size_t first, std::size_t last,
-                                   const double* factors, const double* loads,
-                                   StaResult& result) const {
+template <std::size_t NX>
+void CompiledTiming::evaluate_records(std::size_t first, std::size_t last,
+                                      const double* factors,
+                                      const double* loads,
+                                      StaResult& result) const {
   const double* arena = arena_.data();
   const double* xs = arena + x_off_;
-  switch (uniform_axes_ ? nx_ : 0u) {
-    // The instantiated lengths cover the characterization grids in use;
-    // anything else falls back to the generic per-arc path (identical
-    // results, un-hoisted searches).
-    case 5:
-      eval_uniform<5>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    case 7:
-      eval_uniform<7>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    case 8:
-      eval_uniform<8>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    default:
-      evaluate_span_generic(first, last, factors, loads, result);
-  }
-}
-
-void CompiledTiming::evaluate_span_generic(std::size_t first,
-                                           std::size_t last,
-                                           const double* factors,
-                                           const double* loads,
-                                           StaResult& result) const {
-  const double* arena = arena_.data();
-  const ArcRec* arcs = arcs_.data();
+  const GateRec* gates = gates_.data();
+  const ArcRec* all_arcs = arcs_.data();
+  const std::uint32_t* load_seg = load_seg_.data();
+  const double* load_t = load_t_.data();
   double* arrival = result.arrival_ps.data();
   double* slew = result.slew_ps.data();
   std::size_t* from = result.from_net.data();
-
   for (std::size_t g = first; g < last; ++g) {
-    const GateRec& gate = gates_[g];
-    const double load = loads[gate.out_net];
-    double worst_arrival = -1.0;
-    double worst_slew = 0.0;
-    std::size_t worst_from = kNoDriver;
-    const std::size_t end = gate.first_arc + gate.arc_count;
-    for (std::size_t a = gate.first_arc; a < end; ++a) {
-      const ArcRec& arc = arcs[a];
-      const double* xs = arena + arc.x_off;
-      const double* ys = arena + arc.y_off;
-      const double in_slew = slew[arc.in_net];
-      const std::size_t i = seg_lookup(xs, arc.nx, in_slew);
-      const std::size_t j = seg_lookup(ys, arc.ny, load);
-      const double x0 = xs[i], x1 = xs[i + 1];
-      const double y0 = ys[j], y1 = ys[j + 1];
-      // Bilinear interpolation in LookupTable2D::at's exact order: lerp
-      // along the load axis at slew grid lines i and i+1, then along the
-      // slew axis.  The delay and slew tables share axes (NldmTable
-      // invariant), so one segment search serves both lookups -- the
-      // scalar path redoes it four times per arc.
-      const double* d = arena + arc.d_off + i * arc.ny + j;
-      const double d_lo = lerp(y0, d[0], y1, d[1], load);
-      const double d_hi = lerp(y0, d[arc.ny], y1, d[arc.ny + 1], load);
-      const double delay = lerp(x0, d_lo, x1, d_hi, in_slew);
-      const double arr =
-          arrival[arc.in_net] + arc.wire_delay + factors[a] * delay;
-      if (arr > worst_arrival) {
-        worst_arrival = arr;
-        const double* s = arena + arc.s_off + i * arc.ny + j;
-        const double s_lo = lerp(y0, s[0], y1, s[1], load);
-        const double s_hi = lerp(y0, s[arc.ny], y1, s[arc.ny + 1], load);
-        worst_slew = factors[a] * lerp(x0, s_lo, x1, s_hi, in_slew);
-        worst_from = arc.in_net;
-      }
-    }
-    arrival[gate.out_net] = worst_arrival;
-    slew[gate.out_net] = worst_slew;
-    from[gate.out_net] = worst_from;
+    const GateRec& gate = gates[g];
+    const std::size_t out = gate.out_net;
+    const ArcRec* arcs = all_arcs + gate.first_arc;
+    const double* f = factors + gate.first_arc;
+    eval_gate<NX>(
+        arcs, gate.arc_count,
+        [arcs](std::size_t pi) -> const TableRef& { return arcs[pi].table; },
+        [f](std::size_t pi, const TableRef&) { return f[pi]; },
+        // Only the generic path reads the raw load.
+        NX > 0 ? 0.0 : loads[out], load_seg[out], load_t[out], arena, xs,
+        ny_, out, arrival, slew, from);
   }
+}
+
+void CompiledTiming::evaluate_span(std::size_t first, std::size_t last,
+                                   const double* factors, const double* loads,
+                                   StaResult& result) const {
+  with_axis_length(uniform_axes_ ? nx_ : 0u, [&](auto nx) {
+    evaluate_records<decltype(nx)::value>(first, last, factors, loads, result);
+  });
+}
+
+const std::size_t* WhatIfOverlay::cell_of(std::size_t gate) const {
+  const auto it = std::lower_bound(
+      cells.begin(), cells.end(), gate,
+      [](const Sta::GateCellOverride& o, std::size_t g) { return o.gate < g; });
+  return it != cells.end() && it->gate == gate ? &it->cell_index : nullptr;
+}
+
+const double* WhatIfOverlay::load_of(std::size_t net) const {
+  const auto it = std::lower_bound(
+      loads.begin(), loads.end(), net,
+      [](const std::pair<std::size_t, double>& e, std::size_t n) {
+        return e.first < n;
+      });
+  return it != loads.end() && it->first == net ? &it->second : nullptr;
+}
+
+template <std::size_t NX>
+std::size_t CompiledTiming::sweep_dirty(const ArcScaleProvider& scale,
+                                        std::vector<char>& dirty,
+                                        std::size_t lo, std::size_t hi,
+                                        const WhatIfOverlay* overlay,
+                                        const double* loads,
+                                        StaResult& result) const {
+  const double* arena = arena_.data();
+  const double* xs = arena + x_off_;
+  double* arrival = result.arrival_ps.data();
+  double* slew = result.slew_ps.data();
+  std::size_t* from = result.from_net.data();
+  std::size_t touched = 0;
+  for (std::size_t r = lo; r <= hi; ++r) {
+    if (!dirty[r]) continue;
+    ++touched;
+    const GateRec& gate = gates_[r];
+    const std::size_t out = gate.out_net;
+    LoadPoint load{loads[out], load_seg_[out], load_t_[out]};
+    const TableRef* row = nullptr;  // hypothetical master's tables
+    if (overlay != nullptr) {
+      if (const std::size_t* cell = overlay->cell_of(gate.gate))
+        row = cell_tables_[*cell].data();
+      if (const double* l = overlay->load_of(out)) load = load_point(*l);
+    }
+    const ArcRec* arcs = arcs_.data() + gate.first_arc;
+    const double old_arrival = arrival[out];
+    const double old_slew = slew[out];
+    eval_gate<NX>(
+        arcs, gate.arc_count,
+        [arcs, row](std::size_t pi) -> const TableRef& {
+          return row != nullptr ? row[pi] : arcs[pi].table;
+        },
+        [&scale, &gate](std::size_t, const TableRef& table) {
+          const double factor = scale.scale(gate.gate, table.arc_index);
+          SVA_ASSERT_MSG(factor > 0.0, "arc scale must be positive");
+          return factor;
+        },
+        load.load, load.seg, load.t, arena, xs, ny_, out, arrival, slew,
+        from);
+    if (arrival[out] == old_arrival && slew[out] == old_slew)
+      continue;  // cone converged: fan-out unaffected
+    for (std::uint32_t s = sink_begin_[r]; s < sink_begin_[r + 1]; ++s) {
+      dirty[sinks_[s]] = 1;
+      hi = std::max<std::size_t>(hi, sinks_[s]);
+    }
+  }
+  return touched;
+}
+
+std::size_t CompiledTiming::propagate_dirty(
+    const ArcScaleProvider& scale, const std::vector<std::size_t>& seed_gates,
+    const WhatIfOverlay* overlay, const double* loads,
+    StaResult& result) const {
+  if (seed_gates.empty()) return 0;
+  std::vector<char> dirty(gates_.size(), 0);
+  std::size_t lo = gates_.size(), hi = 0;
+  for (std::size_t gi : seed_gates) {
+    SVA_REQUIRE(gi < gate_rec_of_.size());
+    const std::size_t r = gate_rec_of_[gi];
+    dirty[r] = 1;
+    lo = std::min(lo, r);
+    hi = std::max(hi, r);
+  }
+  return with_axis_length(uniform_axes_ ? nx_ : 0u, [&](auto nx) {
+    return sweep_dirty<decltype(nx)::value>(scale, dirty, lo, hi, overlay,
+                                            loads, result);
+  });
 }
 
 void CompiledTiming::refresh_gate(std::size_t gate, std::size_t cell_index) {
@@ -368,17 +446,8 @@ void CompiledTiming::refresh_gate(std::size_t gate, std::size_t cell_index) {
   const std::vector<TableRef>& tables = cell_tables_[cell_index];
   SVA_REQUIRE_MSG(tables.size() == rec.arc_count,
                   "replacement master must be pin-compatible");
-  for (std::size_t pi = 0; pi < tables.size(); ++pi) {
-    ArcRec& arc = arcs_[rec.first_arc + pi];
-    const TableRef& t = tables[pi];
-    arc.arc_index = t.arc_index;
-    arc.x_off = t.x_off;
-    arc.y_off = t.y_off;
-    arc.d_off = t.d_off;
-    arc.s_off = t.s_off;
-    arc.nx = t.nx;
-    arc.ny = t.ny;
-  }
+  for (std::size_t pi = 0; pi < tables.size(); ++pi)
+    arcs_[rec.first_arc + pi].table = tables[pi];
 }
 
 }  // namespace sva

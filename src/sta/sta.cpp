@@ -1,7 +1,6 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 
 #include "engine/metrics.hpp"
@@ -44,18 +43,21 @@ Sta::Sta(const Netlist& netlist, const CharacterizedLibrary& library,
     if (netlist.nets()[ni].is_primary_output) po_nets_.push_back(ni);
   }
 
-  // Bucket gates by logic level for the levelized kernel and the dirty
-  // queue.  Also freezes the netlist's topological-order cache up front.
-  gate_level_ = netlist.gate_levels();
+  // Bucket gates by logic level (each bucket in topological-order
+  // sequence) for the level-major kernel layout.  Also freezes the
+  // netlist's lazy topological-order cache up front, making concurrent
+  // const use of the netlist race-free.
+  const std::vector<std::size_t> gate_level = netlist.gate_levels();
   std::size_t max_level = 0;
   for (std::size_t gi : netlist.topological_order())
-    max_level = std::max(max_level, gate_level_[gi]);
-  levels_.resize(netlist.gates().empty() ? 0 : max_level + 1);
+    max_level = std::max(max_level, gate_level[gi]);
+  std::vector<std::vector<std::size_t>> levels(
+      netlist.gates().empty() ? 0 : max_level + 1);
   for (std::size_t gi : netlist.topological_order())
-    levels_[gate_level_[gi]].push_back(gi);
+    levels[gate_level[gi]].push_back(gi);
 
   compiled_ =
-      std::make_unique<CompiledTiming>(netlist, library, config_, levels_);
+      std::make_unique<CompiledTiming>(netlist, library, config_, levels);
   compiled_->bind_loads(load_cache_.data(), load_cache_.size());
 
   MetricsRegistry& metrics = MetricsRegistry::global();
@@ -96,34 +98,6 @@ void Sta::update_gate_master(std::size_t gate) {
   compiled_->refresh_gate(gate, netlist_->gates()[gate].cell_index);
 }
 
-void Sta::WhatIfOverlay::build_index() {
-  // stable_sort keeps insertion order among equal keys, so cell_of
-  // returns the first-inserted override for a gate.
-  std::stable_sort(cells.begin(), cells.end(),
-                   [](const GateCellOverride& a, const GateCellOverride& b) {
-                     return a.gate < b.gate;
-                   });
-}
-
-std::size_t Sta::WhatIfOverlay::cell_of(std::size_t gate,
-                                        std::size_t base) const {
-  const auto it = std::lower_bound(
-      cells.begin(), cells.end(), gate,
-      [](const GateCellOverride& o, std::size_t g) { return o.gate < g; });
-  if (it != cells.end() && it->gate == gate) return it->cell_index;
-  return base;
-}
-
-double Sta::WhatIfOverlay::net_load(std::size_t net, double fallback) const {
-  const auto it = std::lower_bound(
-      load.begin(), load.end(), net,
-      [](const std::pair<std::size_t, double>& e, std::size_t n) {
-        return e.first < n;
-      });
-  if (it != load.end() && it->first == net) return it->second;
-  return fallback;
-}
-
 double Sta::compute_net_load_overlay(std::size_t net_index,
                                      const WhatIfOverlay& overlay) const {
   const Netlist& nl = *netlist_;
@@ -131,8 +105,9 @@ double Sta::compute_net_load_overlay(std::size_t net_index,
   double load =
       config_.wire_cap_per_sink_ff * static_cast<double>(net.sinks.size());
   for (const NetSink& sink : net.sinks) {
+    const std::size_t* cell = overlay.cell_of(sink.gate);
     const std::size_t cell_index =
-        overlay.cell_of(sink.gate, nl.gates()[sink.gate].cell_index);
+        cell != nullptr ? *cell : nl.gates()[sink.gate].cell_index;
     load += cell_pin_caps_[cell_index][sink.pin_index];
   }
   if (net.is_primary_output) load += config_.po_load_ff;
@@ -140,17 +115,11 @@ double Sta::compute_net_load_overlay(std::size_t net_index,
 }
 
 void Sta::evaluate_gate(const ArcScaleProvider& scale, std::size_t gi,
-                        StaResult& result,
-                        const WhatIfOverlay* overlay) const {
-  const Netlist& nl = *netlist_;
-  const GateInst& gate = nl.gates()[gi];
-  const std::size_t cell_index =
-      overlay != nullptr ? overlay->cell_of(gi, gate.cell_index)
-                         : gate.cell_index;
-  const std::vector<const CharacterizedArc*>& arcs = cell_arcs_[cell_index];
-  double load = load_cache_[gate.output_net];
-  if (overlay != nullptr)
-    load = overlay->net_load(gate.output_net, load);
+                        StaResult& result) const {
+  const GateInst& gate = netlist_->gates()[gi];
+  const std::vector<const CharacterizedArc*>& arcs =
+      cell_arcs_[gate.cell_index];
+  const double load = load_cache_[gate.output_net];
 
   double worst_arrival = -1.0;
   double worst_slew = 0.0;
@@ -263,44 +232,12 @@ StaResult Sta::propagate_incremental(
     const WhatIfOverlay* overlay) const {
   const Netlist& nl = *netlist_;
   SVA_REQUIRE(previous.arrival_ps.size() == nl.nets().size());
+  SVA_REQUIRE(previous.slew_ps.size() == nl.nets().size());
   SVA_REQUIRE(previous.from_net.size() == nl.nets().size());
 
   StaResult result = previous;
-  std::vector<char> dirty(nl.gates().size(), 0);
-
-  // Level-ordered dirty queue: pop the lowest-level dirty gate, re-
-  // evaluate, push changed fanout.  Every push targets a strictly higher
-  // level than the gate that caused it (a sink of its output net), so by
-  // the time a gate pops, all dirty gates that could affect its fanins
-  // have been processed -- the same dataflow order as a full topological
-  // scan, without visiting the O(V) clean gates.
-  using Item = std::pair<std::uint32_t, std::uint32_t>;  // (level, gate)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
-  const auto mark = [&](std::size_t gi) {
-    if (dirty[gi]) return;
-    dirty[gi] = 1;
-    queue.emplace(static_cast<std::uint32_t>(gate_level_[gi]),
-                  static_cast<std::uint32_t>(gi));
-  };
-  for (std::size_t gi : seed_gates) {
-    SVA_REQUIRE(gi < nl.gates().size());
-    mark(gi);
-  }
-
-  std::size_t touched = 0;
-  while (!queue.empty()) {
-    const std::size_t gi = queue.top().second;
-    queue.pop();
-    ++touched;
-    const std::size_t out = nl.gates()[gi].output_net;
-    const double old_arrival = result.arrival_ps[out];
-    const double old_slew = result.slew_ps[out];
-    evaluate_gate(scale, gi, result, overlay);
-    if (result.arrival_ps[out] == old_arrival &&
-        result.slew_ps[out] == old_slew)
-      continue;  // cone converged: fanout unaffected
-    for (const NetSink& sink : nl.nets()[out].sinks) mark(sink.gate);
-  }
+  const std::size_t touched = compiled_->propagate_dirty(
+      scale, seed_gates, overlay, load_cache_.data(), result);
   incr_touched_->add(touched);
   incr_total_->add(nl.gates().size());
   finalize_result(result);
@@ -321,7 +258,12 @@ StaResult Sta::run_what_if(
 
   WhatIfOverlay overlay;
   overlay.cells = cell_overrides;
-  overlay.build_index();
+  // stable_sort keeps insertion order among equal keys, so cell_of
+  // returns the first-inserted override for a gate.
+  std::stable_sort(overlay.cells.begin(), overlay.cells.end(),
+                   [](const GateCellOverride& a, const GateCellOverride& b) {
+                     return a.gate < b.gate;
+                   });
 
   std::vector<std::size_t> seeds = scale_changed_gates;
   std::vector<std::size_t> affected_nets;
@@ -348,7 +290,7 @@ StaResult Sta::run_what_if(
     // double a committed set_gate_cell would produce.
     const double load = compute_net_load_overlay(net, overlay);
     if (load == load_cache_[net]) continue;  // e.g. same-cap variant
-    overlay.load.emplace_back(net, load);
+    overlay.loads.emplace_back(net, load);
     if (!nl.nets()[net].is_primary_input())
       seeds.push_back(nl.nets()[net].driver_gate);
   }

@@ -9,17 +9,19 @@
 //
 // Two interchangeable engines produce bit-identical results:
 //
-//   * run()/run_parallel() execute the compiled flat kernel (see
-//     sta/compiled.hpp): the levelized graph flattened once into
-//     structure-of-arrays arc records over a deduplicated NLDM table
-//     arena, evaluated as a tight branch-free loop.
+//   * the compiled flat kernel (see sta/compiled.hpp) runs every analysis
+//     but the reference one: run()/run_parallel() full passes and the
+//     run_incremental()/run_what_if() dirty sweeps.  The levelized graph
+//     is flattened once into structure-of-arrays arc records over a
+//     deduplicated NLDM table arena, evaluated by one tight per-gate body.
 //   * run_scalar() interprets the netlist directly; it is the readable
 //     reference implementation and the oracle the kernel is differentially
 //     fuzzed against (tests/sta_test.cpp).
 //
-// Incremental re-analysis (run_incremental / run_what_if) propagates
-// dirty gates through a level-ordered priority queue, touching O(cone)
-// gates instead of scanning the full topological order per edit.
+// Incremental re-analysis (run_incremental / run_what_if) sweeps the
+// kernel's level-major gate records upward from the lowest dirty one,
+// evaluating only dirty gates: O(cone) gate evaluations per edit instead
+// of a full pass.
 
 #include <memory>
 #include <vector>
@@ -32,6 +34,7 @@
 namespace sva {
 
 class CompiledTiming;
+struct WhatIfOverlay;
 
 struct StaConfig {
   double input_slew_ps = 20.0;      ///< slew at primary inputs
@@ -108,11 +111,12 @@ class Sta {
 
   /// Incremental re-analysis: starting from `previous` (computed with a
   /// scale that differed only at `changed_gates`), re-propagate arrivals
-  /// and slews from the changed gates forward through a level-ordered
-  /// priority queue, pruning fan-out cones as soon as a gate's outputs
-  /// stop changing.  Exact: the result equals run(scale).  Worst case
-  /// degenerates to a full pass; typical what-if edits touch a small
-  /// cone, and only that cone is visited.
+  /// and slews from the changed gates forward on the compiled kernel: a
+  /// sweep over level-major gate records from the lowest dirty one that
+  /// evaluates only dirty gates, pruning fan-out cones as soon as a gate's
+  /// outputs stop changing.  Exact: the result equals run(scale) bit for
+  /// bit.  Worst case degenerates to a full pass; typical what-if edits
+  /// touch a small cone, and only that cone is evaluated.
   StaResult run_incremental(const ArcScaleProvider& scale,
                             const StaResult& previous,
                             const std::vector<std::size_t>& changed_gates)
@@ -130,9 +134,13 @@ class Sta {
   /// `previous` as if the overridden gates had swapped masters (their own
   /// arcs change AND the pin caps they present to their fanin nets change,
   /// so the fanin drivers are re-evaluated too) and as if `scale` had
-  /// additionally changed at `scale_changed_gates`.  Exact: equals a full
-  /// run() on a mutated netlist.  Const and allocation-local, so any
-  /// number of candidates can be evaluated concurrently against one Sta.
+  /// additionally changed at `scale_changed_gates`.  Runs the same dirty
+  /// sweep as run_incremental, with the overridden gates evaluated through
+  /// their hypothetical masters' compiled tables and the affected drivers
+  /// against the hypothetical loads.  Exact: equals a full run() -- and
+  /// run_scalar() -- on a really mutated netlist, bit for bit.  Const and
+  /// allocation-local, so any number of candidates can be evaluated
+  /// concurrently against one Sta.
   StaResult run_what_if(const ArcScaleProvider& scale,
                         const StaResult& previous,
                         const std::vector<GateCellOverride>& cell_overrides,
@@ -160,42 +168,20 @@ class Sta {
   const CompiledTiming& compiled() const { return *compiled_; }
 
  private:
-  /// Per-candidate state of run_what_if: hypothetical cell swaps plus the
-  /// net-load deltas they induce.  Indexed once at construction (sorted
-  /// by gate / by net) so per-gate lookups binary-search instead of
-  /// scanning every override on every evaluation.
-  struct WhatIfOverlay {
-    std::vector<GateCellOverride> cells;               ///< sorted by gate
-    /// (net, absolute load fF): the affected fanin nets' loads recomputed
-    /// from scratch with the hypothetical masters' pin caps, in the exact
-    /// summation order compute_net_load uses -- so a what-if result is
-    /// bit-identical to a fresh analysis of a really-mutated netlist.
-    std::vector<std::pair<std::size_t, double>> load;
-
-    /// Sort the override list by gate.  Must be called before any
-    /// cell_of lookup (run_what_if recomputes loads through cell_of).
-    void build_index();
-
-    std::size_t cell_of(std::size_t gate, std::size_t base) const;
-    /// The net's load under this overlay (`fallback` when unaffected).
-    double net_load(std::size_t net, double fallback) const;
-  };
-
-  /// Recompute one gate's output arrival/slew/from in `result`.  The
-  /// overlay, when present, substitutes hypothetical masters and loads.
+  /// Recompute one gate's output arrival/slew/from in `result` through
+  /// the characterized-cell tables (run_scalar's interpreter step).
   void evaluate_gate(const ArcScaleProvider& scale, std::size_t gate,
-                     StaResult& result,
-                     const WhatIfOverlay* overlay = nullptr) const;
-  /// compute_net_load with the overlay's hypothetical masters swapped in
+                     StaResult& result) const;
+  /// compute_net_load with the what-if's hypothetical masters swapped in
   /// (identical FP summation order, so hypothetical == committed bitwise).
   double compute_net_load_overlay(std::size_t net,
                                   const WhatIfOverlay& overlay) const;
-  /// Shared dirty-cone propagation of run_incremental / run_what_if:
-  /// level-ordered priority-queue pop/evaluate/push, O(cone) gates.
-  StaResult propagate_incremental(const ArcScaleProvider& scale,
-                                  const StaResult& previous,
-                                  const std::vector<std::size_t>& seed_gates,
-                                  const WhatIfOverlay* overlay) const;
+  /// Shared driver of run_incremental / run_what_if: copy `previous`,
+  /// run the compiled dirty sweep from `seed_gates`, count and finalize.
+  StaResult propagate_incremental(
+      const ArcScaleProvider& scale, const StaResult& previous,
+      const std::vector<std::size_t>& seed_gates,
+      const WhatIfOverlay* overlay) const;
   /// Fill critical delay / PO / path from arrivals and from_net.
   void finalize_result(StaResult& result) const;
   StaResult make_result() const;
@@ -214,13 +200,7 @@ class Sta {
   std::vector<std::vector<const CharacterizedArc*>> cell_arcs_;
   /// Per library cell, its input-pin caps in pin order (fF).
   std::vector<std::vector<double>> cell_pin_caps_;
-  /// Gates bucketed by logic level, each bucket in topological-order
-  /// sequence.  Built eagerly in the constructor (which also warms the
-  /// netlist's lazy topological-order cache, making concurrent const use
-  /// of the netlist race-free).
-  std::vector<std::vector<std::size_t>> levels_;
-  std::vector<std::size_t> gate_level_;  ///< per gate, for the dirty queue
-  std::vector<std::size_t> po_nets_;     ///< ascending, for finalize
+  std::vector<std::size_t> po_nets_;  ///< ascending, for finalize
   std::unique_ptr<CompiledTiming> compiled_;
   /// Cached metric handles (creation locks the registry; the what-if path
   /// is too hot to take that lock per candidate).

@@ -293,7 +293,9 @@ TEST(FlowFanOut, WarmConstructionSpawnsNoPool) {
   const std::uint64_t before_cold = engine_tasks();
   const SvaFlow cold{config};
   const std::uint64_t cold_tasks = engine_tasks() - before_cold;
-  if (ThreadPool::default_thread_count() > 1) EXPECT_GT(cold_tasks, 0u);
+  if (ThreadPool::default_thread_count() > 1) {
+    EXPECT_GT(cold_tasks, 0u);
+  }
 
   const std::uint64_t before_warm = engine_tasks();
   const SvaFlow warm{config};

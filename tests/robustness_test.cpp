@@ -637,8 +637,9 @@ TEST_F(OpcDegradeTest, PoolTaskFaultsLeaveColdSetupIntact) {
   // item it skips runs on the constructing thread instead.
   FailPoints::set("engine.task", "throw");
   const SvaFlow faulted{FlowConfig{}};
-  if (ThreadPool::default_thread_count() > 1)
+  if (ThreadPool::default_thread_count() > 1) {
     EXPECT_GT(FailPoints::fired_count("engine.task"), 0u);
+  }
   FailPoints::clear_all();
   EXPECT_FALSE(faulted.setup_degraded());
   expect_same_setup(faulted, shared_flow());

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "engine/thread_pool.hpp"
 #include "sta/compiled.hpp"
@@ -215,18 +216,43 @@ TEST(StaIncremental, RejectsMismatchedPrevious) {
                PreconditionError);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Full StaResult equality through std::bit_cast, so even a last-ulp
+/// divergence fails.
+void expect_bit_identical(const StaResult& a, const StaResult& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.arrival_ps.size(), b.arrival_ps.size()) << what;
+  for (std::size_t ni = 0; ni < a.arrival_ps.size(); ++ni) {
+    ASSERT_EQ(bits(a.arrival_ps[ni]), bits(b.arrival_ps[ni]))
+        << what << " arrival net " << ni;
+    ASSERT_EQ(bits(a.slew_ps[ni]), bits(b.slew_ps[ni]))
+        << what << " slew net " << ni;
+    ASSERT_EQ(a.from_net[ni], b.from_net[ni]) << what << " from net " << ni;
+  }
+  ASSERT_EQ(bits(a.critical_delay_ps), bits(b.critical_delay_ps)) << what;
+  ASSERT_EQ(a.critical_po_net, b.critical_po_net) << what;
+  ASSERT_EQ(a.critical_path, b.critical_path) << what;
+}
+
 /// Randomized equivalence: drive a long sequence of random arc-scale
-/// edits through run_incremental, checking bit-identity against a fresh
-/// full pass after EVERY edit.  Each incremental result becomes the next
+/// edits through run_incremental, checking identity against a fresh full
+/// pass after EVERY edit.  Each incremental result becomes the next
 /// edit's `previous`, so errors would compound -- exactly the way the ECO
 /// loop uses the API.  `parallel` checks against run_parallel instead of
-/// run (the reference itself must be schedule-independent).
+/// run (the reference itself must be schedule-independent).  Since the
+/// incremental sweep and the full pass share the compiled kernel, every
+/// edit is also checked bitwise against the independent scalar
+/// interpreter.  Every eighth edit additionally re-scales the gate of the
+/// lowest-index kernel record, so the sweep starts at the bottom of the
+/// graph and covers all of it.
 void random_edit_sequence_stays_exact(const std::string& bench,
                                       std::size_t edits, bool parallel) {
   const Netlist nl = generate_iscas85_like(bench, lib());
   const Sta sta(nl, charlib());
   ThreadPool pool(parallel ? 4 : 0);
   Rng rng(bench);
+  const std::size_t first_record_gate = sta.compiled().gate_record(0).gate;
 
   std::vector<std::vector<double>> factors(nl.gates().size());
   for (std::size_t gi = 0; gi < nl.gates().size(); ++gi)
@@ -246,8 +272,15 @@ void random_edit_sequence_stays_exact(const std::string& bench,
       changed.push_back(g);
       for (double& f : factors[g]) f = rng.uniform(0.85, 1.25);
     }
+    if (e % 8 == 0 && std::find(changed.begin(), changed.end(),
+                                first_record_gate) == changed.end()) {
+      changed.push_back(first_record_gate);
+      for (double& f : factors[first_record_gate]) f = rng.uniform(0.85, 1.25);
+    }
     const MatrixScale scale(factors);
     const StaResult incr = sta.run_incremental(scale, current, changed);
+    expect_bit_identical(incr, sta.run_scalar(scale),
+                         "scalar edit " + std::to_string(e));
     const StaResult full =
         parallel ? sta.run_parallel(scale, pool) : sta.run(scale);
     ASSERT_EQ(full.arrival_ps.size(), incr.arrival_ps.size());
@@ -312,24 +345,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, ScaleSweep,
 // program (sta/compiled.hpp) and must be BIT-identical -- not just close --
 // to the scalar interpreter run_scalar() under every scale provider, thread
 // count, override set, and incremental seed set.  All comparisons below go
-// through std::bit_cast so even a last-ulp divergence fails.
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-void expect_bit_identical(const StaResult& a, const StaResult& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.arrival_ps.size(), b.arrival_ps.size()) << what;
-  for (std::size_t ni = 0; ni < a.arrival_ps.size(); ++ni) {
-    ASSERT_EQ(bits(a.arrival_ps[ni]), bits(b.arrival_ps[ni]))
-        << what << " arrival net " << ni;
-    ASSERT_EQ(bits(a.slew_ps[ni]), bits(b.slew_ps[ni]))
-        << what << " slew net " << ni;
-    ASSERT_EQ(a.from_net[ni], b.from_net[ni]) << what << " from net " << ni;
-  }
-  ASSERT_EQ(bits(a.critical_delay_ps), bits(b.critical_delay_ps)) << what;
-  ASSERT_EQ(a.critical_po_net, b.critical_po_net) << what;
-  ASSERT_EQ(a.critical_path, b.critical_path) << what;
-}
+// through expect_bit_identical.
 
 /// Random per-(gate, arc) factors in [0.8, 1.3), seeded by `tag`.
 MatrixScale random_scale(const Netlist& nl, const std::string& tag) {
@@ -455,6 +471,8 @@ TEST(StaKernel, WhatIfOverridesMatchMutatedNetlistBitwise) {
     const Sta oracle(mutated, charlib());
     expect_bit_identical(what_if, oracle.run(scale),
                          "round " + std::to_string(round));
+    expect_bit_identical(what_if, oracle.run_scalar(scale),
+                         "scalar round " + std::to_string(round));
 
     // Commit the swaps for the next round (exercises update_gate_master's
     // compiled-program refresh).
@@ -508,9 +526,54 @@ TEST(StaKernel, WhatIfCombinedOverridesAndScaleSeedsStayExact) {
     const Sta oracle(mutated, charlib());
     expect_bit_identical(what_if, oracle.run(scale),
                          "round " + std::to_string(round));
+    expect_bit_identical(what_if, oracle.run_scalar(scale),
+                         "scalar round " + std::to_string(round));
 
     // Next round continues from the no-override state of the edited scale.
     current = sta.run_incremental(scale, current, changed);
+  }
+}
+
+/// ECO pricing runs many what-ifs concurrently against one Sta: four
+/// threads evaluating the same candidate set must each reproduce the
+/// serial results bit for bit (and stay race-free under TSan).
+TEST(StaKernel, ConcurrentWhatIfsMatchSerialBitwise) {
+  const Netlist nl = generate_iscas85_like("C1355", lib());
+  const Sta sta(nl, charlib());
+  const MatrixScale scale = random_scale(nl, "concurrent");
+  const StaResult base = sta.run(scale);
+  Rng rng("concurrent-whatif");
+
+  std::vector<std::vector<Sta::GateCellOverride>> candidates;
+  for (int c = 0; c < 24; ++c) {
+    const auto gi = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(nl.gates().size()) - 1));
+    const std::vector<std::size_t> group =
+        compatible_cells(nl.gates()[gi].cell_index);
+    candidates.push_back({{gi, group[static_cast<std::size_t>(rng.uniform_int(
+                                   0, static_cast<std::int64_t>(group.size()) -
+                                          1))]}});
+  }
+  std::vector<StaResult> serial;
+  for (const auto& overrides : candidates)
+    serial.push_back(sta.run_what_if(scale, base, overrides, {}));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<StaResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (const auto& overrides : candidates)
+        got[t].push_back(sta.run_what_if(scale, base, overrides, {}));
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), serial.size());
+    for (std::size_t c = 0; c < serial.size(); ++c)
+      expect_bit_identical(got[t][c], serial[c],
+                           "thread " + std::to_string(t) + " candidate " +
+                               std::to_string(c));
   }
 }
 
