@@ -14,11 +14,16 @@
 // Corner scales here use a CD-only budget (other_process_fraction = 0)
 // so corners, SSTA, and MC all describe the same variation source.
 //
-// Writes BENCH_ssta.json.
+// Writes BENCH_ssta.json, with the host's core count and the process
+// peak RSS after each circuit (monotonic, so a row bounds the memory of
+// every circuit up to it; C7552 runs last and is the largest).
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/corners.hpp"
@@ -35,7 +40,8 @@ using namespace sva;
 
 namespace {
 
-const std::vector<std::string> kCircuits = {"C432", "C880", "C1908"};
+const std::vector<std::string> kCircuits = {"C432", "C880", "C1908",
+                                            "C7552"};
 constexpr std::size_t kMcSamples = 10000;
 constexpr int kSstaRepeats = 5;
 
@@ -44,6 +50,13 @@ std::uint64_t ns_of(const std::chrono::steady_clock::time_point& t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
+}
+
+/// Peak resident set size of this process so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
 }
 
 }  // namespace
@@ -59,7 +72,7 @@ int main() {
   const Nm l_nom = flow.library().master(0).tech().gate_length;
 
   Table table({"Testcase", "SSTA ms", "MC ms", "Speedup", "Trad ps",
-               "SVA ps", "6-sigma ps", "Capture"});
+               "SVA ps", "6-sigma ps", "Capture", "Peak MB"});
   std::vector<std::string> rows_json;
 
   for (const std::string& name : kCircuits) {
@@ -123,6 +136,7 @@ int main() {
         (critical.mean_ps - mc_summary.mean) / mc_summary.mean;
     const double sigma_err =
         (critical.sigma_ps() - mc_summary.stddev) / mc_summary.stddev;
+    const double rss_mb = peak_rss_mb();
 
     std::printf("%s: SSTA mean %s ps sigma %s ps (MC mean err %s%%, "
                 "sigma err %s%%)\n",
@@ -133,7 +147,7 @@ int main() {
     table.add_row({name, fmt(ssta_ns * 1e-6, 2), fmt(mc_ns * 1e-6, 1),
                    fmt(speedup, 0) + "x", fmt(trad_spread, 1),
                    fmt(sva_spread, 1), fmt(ssta_spread, 1),
-                   fmt_pct(capture, 1)});
+                   fmt_pct(capture, 1), fmt(rss_mb, 1)});
 
     std::string row = "{\"bench\": \"";
     row += name;
@@ -159,13 +173,17 @@ int main() {
     row += fmt(ssta_spread, 3);
     row += ", \"spread_capture\": ";
     row += fmt(capture, 4);
+    row += ", \"peak_rss_mb\": ";
+    row += fmt(rss_mb, 1);
     row += "}";
     rows_json.push_back(row);
   }
 
   std::printf("\n%s\n", table.render().c_str());
 
-  std::string json = "{\n  \"bench\": \"ssta\",\n  \"mc_samples\": ";
+  std::string json = "{\n  \"bench\": \"ssta\",\n  \"nproc\": ";
+  json += std::to_string(std::thread::hardware_concurrency());
+  json += ",\n  \"mc_samples\": ";
   json += std::to_string(kMcSamples);
   json += ",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < rows_json.size(); ++i) {

@@ -172,7 +172,7 @@ JobResult run_optimize_job(const SvaFlow& flow, const SizedLibrary& sized,
   return result;
 }
 
-JobResult run_ssta_job(const SvaFlow& flow, ThreadPool& pool,
+JobResult run_ssta_job(const SvaFlow& flow, ThreadPool& /*pool*/,
                        const SstaJobSpec& spec, const CancelToken* cancel) {
   JobResult result;
   try {
@@ -192,7 +192,7 @@ JobResult run_ssta_job(const SvaFlow& flow, ThreadPool& pool,
     const SstaEngine engine(netlist, flow.characterized(),
                             flow.context_library(), versions, model,
                             flow.config().sta, &flow.context_cache());
-    const SstaResult ssta = engine.run_parallel(pool, cancel);
+    const SstaResult ssta = engine.run(cancel);
     const CriticalityResult crit = compute_criticality(netlist, ssta);
 
     result.output = ssta_text_report(netlist, ssta, crit, spec.quantile,

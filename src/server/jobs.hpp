@@ -118,7 +118,10 @@ JobResult run_optimize_job(const SvaFlow& flow, const SizedLibrary& sized,
 /// optional Monte-Carlo cross-check) against a constructed flow.  A
 /// non-fatal spec or circuit fault comes back as an error result with a
 /// structured diagnostic rather than an exception, mirroring the batch
-/// runner's per-job isolation.
+/// runner's per-job isolation.  Propagation is serial (no circuit has
+/// levels wide enough to pay for a split), so `pool` is unused; it stays
+/// in the signature so every job entry point takes the same arguments.
+/// A non-null `cancel` is polled per gate and per MC sample.
 JobResult run_ssta_job(const SvaFlow& flow, ThreadPool& pool,
                        const SstaJobSpec& spec, const CancelToken* cancel);
 

@@ -90,24 +90,17 @@ SstaEngine::SstaEngine(const Netlist& netlist,
       factors_(build_factors(netlist, context, versions, model, cache)),
       sta_(netlist, library, config),
       base_(sta_.run(MatrixScale(mean_factor_matrix(factors_)))) {
-  // Same level buckets Sta builds; rebuilt here because Sta keeps its
-  // copy private and the two engines must partition work identically.
-  const std::vector<std::size_t> level = netlist.gate_levels();
-  std::size_t max_level = 0;
-  for (std::size_t gi : netlist.topological_order())
-    max_level = std::max(max_level, level[gi]);
-  levels_.resize(netlist.gates().empty() ? 0 : max_level + 1);
-  for (std::size_t gi : netlist.topological_order())
-    levels_[level[gi]].push_back(gi);
-
   // Residual index space: one slot per (gate, master-arc) CD residual,
   // then one max-noise slot per gate.
+  std::size_t arc_total = 0;
   res_offset_.resize(factors_.size());
   for (std::size_t gi = 0; gi < factors_.size(); ++gi) {
-    res_offset_[gi] = arc_total_;
-    arc_total_ += factors_[gi].size();
+    res_offset_[gi] = static_cast<std::uint32_t>(arc_total);
+    arc_total += factors_[gi].size();
   }
-  n_res_ = arc_total_ + factors_.size();
+  SVA_REQUIRE_MSG(arc_total + factors_.size() < sparse::kEnd,
+                  "residual index space exceeds 32-bit slots");
+  arc_total_ = static_cast<std::uint32_t>(arc_total);
 }
 
 const CanonicalDelay& SstaEngine::arc_factor(std::size_t gate,
@@ -117,7 +110,8 @@ const CanonicalDelay& SstaEngine::arc_factor(std::size_t gate,
   return factors_[gate][arc_index];
 }
 
-void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
+void SstaEngine::evaluate_gate(std::size_t gi, State& st,
+                               Scratch& sc) const {
   const Netlist& nl = *netlist_;
   const GateInst& gate = nl.gates()[gi];
   const CharacterizedCell& cell = library_->cells[gate.cell_index];
@@ -129,9 +123,7 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
   std::vector<double>& q = st.gate_pin_tightness[gi];
   q.assign(n, 0.0);
   std::vector<SlewSensitivity> cand_slew(n);
-  std::vector<double> acc_coef(n_res_, 0.0);
-  std::vector<double> cand_coef(n_res_, 0.0);
-  std::vector<std::vector<double>> cand_slew_coef(n);
+  if (sc.cand_slew.size() < n) sc.cand_slew.resize(n);
 
   for (std::size_t pi = 0; pi < n; ++pi) {
     const std::size_t in_net = gate.fanin_nets[pi];
@@ -166,37 +158,27 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
     // overlap, reconvergent fanin cones, this arc's fresh residual
     // scaling both delay and output slew -- is carried exactly.
     const double k = fac.mean_ps * dd_dslew;
-    const std::vector<double>& ain_c = st.arr_coef[in_net];
-    const std::vector<double>& sin_c = st.slew_coef[in_net];
-    const std::size_t rid = res_offset_[gi] + arc.arc_index;
+    const SparseVec& ain_c = st.arr_coef[in_net];
+    const SparseVec& sin_c = st.slew_coef[in_net];
+    const auto rid =
+        static_cast<std::uint32_t>(res_offset_[gi] + arc.arc_index);
 
     CanonicalDelay cand;
     cand.mean_ps = ain.mean_ps + wire_delay + fac.mean_ps * d0;
     cand.a_focus_ps = ain.a_focus_ps + fac.a_focus_ps * d0 + k * sin.a_focus_ps;
     cand.a_global_ps =
         ain.a_global_ps + fac.a_global_ps * d0 + k * sin.a_global_ps;
-    double cand_var = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j) {
-      cand_coef[j] = ain_c[j] + k * sin_c[j];
-      if (j == rid) cand_coef[j] += fac.local_ps * d0;
-      cand_var += cand_coef[j] * cand_coef[j];
-    }
-    cand.local_ps = std::sqrt(cand_var);
+    sparse::axpy_add(ain_c, k, sin_c, rid, fac.local_ps * d0, sc.cand);
+    cand.local_ps = std::sqrt(sparse::sq_norm(sc.cand));
 
     // Output-slew candidate, same first-order chain.
     const double ks = fac.mean_ps * dso_dslew;
     SlewSensitivity& cs = cand_slew[pi];
     cs.a_focus_ps = fac.a_focus_ps * so0 + ks * sin.a_focus_ps;
     cs.a_global_ps = fac.a_global_ps * so0 + ks * sin.a_global_ps;
-    std::vector<double>& cs_c = cand_slew_coef[pi];
-    cs_c.assign(n_res_, 0.0);
-    double cs_var = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j) {
-      cs_c[j] = ks * sin_c[j];
-      if (j == rid) cs_c[j] += fac.local_ps * so0;
-      cs_var += cs_c[j] * cs_c[j];
-    }
-    cs.local_ps = std::sqrt(cs_var);
+    SparseVec& cs_c = sc.cand_slew[pi];
+    sparse::axpy_add({}, ks, sin_c, rid, fac.local_ps * so0, cs_c);
+    cs.local_ps = std::sqrt(sparse::sq_norm(cs_c));
 
     // Left-fold Clark max in pin order; the fold updates the selection
     // probabilities so they sum to exactly 1.  The local covariance of
@@ -205,19 +187,16 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
     // independent of the candidate, so it rightly contributes nothing).
     if (pi == 0) {
       acc = cand;
-      acc_coef.swap(cand_coef);
-      cand_coef.assign(n_res_, 0.0);
+      sc.acc.swap(sc.cand);
       q[0] = 1.0;
     } else {
-      double lcov = 0.0;
-      for (std::size_t j = 0; j < n_res_; ++j)
-        lcov += acc_coef[j] * cand_coef[j];
+      const double lcov = sparse::dot(sc.acc, sc.cand);
       const ClarkMax m = clark_max(acc, cand, lcov);
       const double t = m.tightness_a;
       for (std::size_t j = 0; j < pi; ++j) q[j] *= t;
       q[pi] = 1.0 - t;
-      for (std::size_t j = 0; j < n_res_; ++j)
-        acc_coef[j] = t * acc_coef[j] + (1.0 - t) * cand_coef[j];
+      sparse::blend(t, sc.acc, sc.cand, sc.tmp);
+      sc.acc.swap(sc.tmp);
       acc = m.value;
     }
   }
@@ -226,32 +205,30 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
   // variance (max of two forms is noisier than their blend); park the
   // deficit in this gate's own max-noise slot so downstream consumers
   // see it as a shared -- not independent -- residual.
-  double mix_var = 0.0;
-  for (std::size_t j = 0; j < n_res_; ++j) mix_var += acc_coef[j] * acc_coef[j];
+  const double mix_var = sparse::sq_norm(sc.acc);
   const double deficit = acc.local_ps * acc.local_ps - mix_var;
-  acc_coef[arc_total_ + gi] = std::sqrt(std::max(deficit, 0.0));
+  sparse::insert(sc.acc, arc_total_ + static_cast<std::uint32_t>(gi),
+                 std::sqrt(std::max(deficit, 0.0)));
   acc.local_ps = std::sqrt(mix_var + std::max(deficit, 0.0));
 
   // Merged output slew: tightness-weighted blend of the per-pin slews
   // (first-order moment matching of the selected slew), componentwise on
   // the residual vectors so downstream correlation survives the merge.
   SlewSensitivity merged;
-  std::vector<double> merged_coef(n_res_, 0.0);
+  sc.merged.clear();
   for (std::size_t pi = 0; pi < n; ++pi) {
     merged.a_focus_ps += q[pi] * cand_slew[pi].a_focus_ps;
     merged.a_global_ps += q[pi] * cand_slew[pi].a_global_ps;
-    const std::vector<double>& cs_c = cand_slew_coef[pi];
-    for (std::size_t j = 0; j < n_res_; ++j) merged_coef[j] += q[pi] * cs_c[j];
+    sparse::add_scaled(sc.merged, q[pi], sc.cand_slew[pi], sc.tmp);
   }
-  double merged_var = 0.0;
-  for (std::size_t j = 0; j < n_res_; ++j)
-    merged_var += merged_coef[j] * merged_coef[j];
-  merged.local_ps = std::sqrt(merged_var);
+  merged.local_ps = std::sqrt(sparse::sq_norm(sc.merged));
 
+  // Copies, not moves: the stored vectors get exact-size allocations and
+  // the scratch buffers keep their capacity for the next gate.
   st.arrival[gate.output_net] = acc;
   st.slew_sens[gate.output_net] = merged;
-  st.arr_coef[gate.output_net] = std::move(acc_coef);
-  st.slew_coef[gate.output_net] = std::move(merged_coef);
+  st.arr_coef[gate.output_net] = sc.acc;
+  st.slew_coef[gate.output_net] = sc.merged;
 }
 
 SstaEngine::State SstaEngine::make_state() const {
@@ -260,8 +237,8 @@ SstaEngine::State SstaEngine::make_state() const {
   st.arrival.assign(nl.nets().size(), CanonicalDelay{});
   st.slew_sens.assign(nl.nets().size(), SlewSensitivity{});
   st.gate_pin_tightness.resize(nl.gates().size());
-  st.arr_coef.assign(nl.nets().size(), std::vector<double>(n_res_, 0.0));
-  st.slew_coef.assign(nl.nets().size(), std::vector<double>(n_res_, 0.0));
+  st.arr_coef.resize(nl.nets().size());
+  st.slew_coef.resize(nl.nets().size());
   return st;
 }
 
@@ -269,30 +246,28 @@ SstaResult SstaEngine::finalize(State st) const {
   const Netlist& nl = *netlist_;
   SstaResult out;
 
-  // Chip max: fold over primary outputs in net-index order (serial, so
-  // the result is identical no matter how the forward pass was split).
-  // Endpoints share most of their cones, so the fold carries the same
-  // exact local covariance the per-gate merges use.
+  // Chip max: fold over primary outputs in net-index order.  Endpoints
+  // share most of their cones, so the fold carries the same exact local
+  // covariance the per-gate merges use.
   for (std::size_t ni = 0; ni < nl.nets().size(); ++ni)
     if (nl.nets()[ni].is_primary_output) out.po_nets.push_back(ni);
   SVA_REQUIRE_MSG(!out.po_nets.empty(), "netlist has no primary outputs");
 
   out.po_tightness.assign(out.po_nets.size(), 0.0);
   out.critical = st.arrival[out.po_nets[0]];
-  std::vector<double> crit_coef = st.arr_coef[out.po_nets[0]];
+  SparseVec crit_coef = st.arr_coef[out.po_nets[0]];
+  SparseVec tmp;
   out.po_tightness[0] = 1.0;
   for (std::size_t i = 1; i < out.po_nets.size(); ++i) {
     const CanonicalDelay& cand = st.arrival[out.po_nets[i]];
-    const std::vector<double>& cand_coef = st.arr_coef[out.po_nets[i]];
-    double lcov = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j)
-      lcov += crit_coef[j] * cand_coef[j];
+    const SparseVec& cand_coef = st.arr_coef[out.po_nets[i]];
+    const double lcov = sparse::dot(crit_coef, cand_coef);
     const ClarkMax m = clark_max(out.critical, cand, lcov);
     const double t = m.tightness_a;
     for (std::size_t j = 0; j < i; ++j) out.po_tightness[j] *= t;
     out.po_tightness[i] = 1.0 - t;
-    for (std::size_t j = 0; j < n_res_; ++j)
-      crit_coef[j] = t * crit_coef[j] + (1.0 - t) * cand_coef[j];
+    sparse::blend(t, crit_coef, cand_coef, tmp);
+    crit_coef.swap(tmp);
     out.critical = m.value;
   }
 
@@ -302,32 +277,13 @@ SstaResult SstaEngine::finalize(State st) const {
   return out;
 }
 
-SstaResult SstaEngine::run() const {
-  SVA_FAILPOINT("ssta.propagate");
-  const Netlist& nl = *netlist_;
-  State st = make_state();
-  for (std::size_t gi : nl.topological_order()) evaluate_gate(gi, st);
-  return finalize(std::move(st));
-}
-
-SstaResult SstaEngine::run_parallel(ThreadPool& pool,
-                                    const CancelToken* cancel) const {
+SstaResult SstaEngine::run(const CancelToken* cancel) const {
   SVA_FAILPOINT("ssta.propagate");
   State st = make_state();
-
-  // Same inline/split threshold as Sta::run_parallel: a canonical gate
-  // evaluation is a few NLDM lookups plus Clark folds (~us), so narrow
-  // levels are pure fork/join overhead.
-  constexpr std::size_t kGrain = 64;
-  for (const std::vector<std::size_t>& level : levels_) {
+  Scratch scratch;
+  for (std::size_t gi : netlist_->topological_order()) {
     if (cancel) cancel->check();
-    if (pool.thread_count() == 0 || level.size() < 2 * kGrain) {
-      for (std::size_t gi : level) evaluate_gate(gi, st);
-      continue;
-    }
-    pool.parallel_for(
-        0, level.size(), [&](std::size_t i) { evaluate_gate(level[i], st); },
-        kGrain);
+    evaluate_gate(gi, st, scratch);
   }
   return finalize(std::move(st));
 }
