@@ -26,6 +26,7 @@
 
 #include "core/flow.hpp"
 #include "engine/context_cache.hpp"
+#include "engine/thread_pool.hpp"
 #include "place/context.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"

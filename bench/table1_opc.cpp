@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "engine/thread_pool.hpp"
 #include "place/fullchip_opc.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"

@@ -84,13 +84,14 @@ fi
 echo "analysis tables identical under injected cache faults"
 
 echo "== interruptibility: deadline-cancelled analyze resumes bit-identically =="
-# Slow every pool task so a sub-second deadline lands mid-batch, then
+# Slow every pool task (one per job: 4 jobs on 3 lanes, so the last job
+# starts after two delays) so a sub-second deadline lands mid-batch, then
 # resume from the written checkpoint: the final table must match the
 # uninterrupted run byte for byte, and the exit codes must follow the
 # documented contract (4 = cancelled with checkpoint).
 ANALYZE_CKPT="$CACHE_DIR/analyze_resume.ckpt"
 rc=0
-SVA_FAILPOINTS="engine.task=delay(100)" \
+SVA_FAILPOINTS="engine.task=delay(300)" \
   "$CLI" analyze C432 C499 C880 C1355 --threads 2 --cache-dir "$CACHE_DIR" \
   --deadline 0.5 --checkpoint "$ANALYZE_CKPT" >/dev/null 2>&1 || rc=$?
 if [[ "$rc" -ne 4 ]]; then
@@ -480,23 +481,28 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "== TSan: engine/sta/opt/server/litho/flow tests under -fsanitize=thread =="
-# sta_test drives the compiled kernel through run_parallel at several
-# thread counts and races run_what_if calls on one Sta, extending race
-# coverage to the flat-arena evaluate path and the dirty sweep; opt_test
-# prices ECO candidates as concurrent what-ifs on one Sta; server_test covers the daemon's lane pool, watchdog, and the JobQueue
-# close/drain races under concurrent pushers; litho_test races image()
-# calls on one simulator's TCC cache, and flow_test runs the cold-setup
-# fan-out (concurrent OPC solves on one engine) in every cold SvaFlow.
+echo "== TSan: engine/sta/opt/server/litho/flow/robustness tests under -fsanitize=thread =="
+# engine_test drives parallel_for's claim loop (nested, 0..8 threads) and
+# whole batch jobs at several thread counts; sta_test races run_what_if
+# calls on one Sta, covering the flat-arena evaluate path and the dirty
+# sweep; opt_test prices ECO candidates as concurrent what-ifs on one
+# Sta; server_test covers the daemon's lane pool, watchdog, and the
+# JobQueue close/drain races under concurrent pushers; litho_test races
+# image() calls on one simulator's TCC cache; flow_test runs the
+# cold-setup fan-out (concurrent OPC solves on one engine) in every cold
+# SvaFlow; and the robustness_test subset drives the pool through
+# injected task faults and cancellation.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j --target engine_test sta_test opt_test \
-  server_test litho_test flow_test
+  server_test litho_test flow_test robustness_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/opt_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/litho_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/flow_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/robustness_test \
+  --gtest_filter='BatchFaultTest.*:CancelTest.*'
 
 echo "== ASan: full tier-1 suite + kernel bench smoke under -fsanitize=address =="
 cmake -B build-asan -S . -DSVA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -48,11 +48,21 @@ CellMaster make_cell(const char* name, int width_sites,
 CellLibrary::CellLibrary(std::vector<CellMaster> masters)
     : masters_(std::move(masters)) {
   SVA_REQUIRE(!masters_.empty());
+  input_pins_.resize(masters_.size());
+  for (std::size_t i = 0; i < masters_.size(); ++i)
+    for (const Pin& p : masters_[i].pins())
+      if (!p.is_output) input_pins_[i].push_back(p.name);
 }
 
 const CellMaster& CellLibrary::master(std::size_t index) const {
   SVA_REQUIRE(index < masters_.size());
   return masters_[index];
+}
+
+const std::vector<std::string>& CellLibrary::input_pins(
+    std::size_t index) const {
+  SVA_REQUIRE(index < input_pins_.size());
+  return input_pins_[index];
 }
 
 const CellMaster& CellLibrary::by_name(const std::string& name) const {

@@ -8,6 +8,7 @@
 // the paper's Fig. 5 -- isolated, dense, self-compensated -- occurs in
 // synthesized designs.
 
+#include <string>
 #include <vector>
 
 #include "cell/cell_master.hpp"
@@ -28,8 +29,13 @@ class CellLibrary {
   std::size_t index_of(const std::string& name) const;
   std::size_t size() const { return masters_.size(); }
 
+  /// Input-pin names of a master, in fanin order (built once; the library
+  /// is immutable after construction).
+  const std::vector<std::string>& input_pins(std::size_t index) const;
+
  private:
   std::vector<CellMaster> masters_;
+  std::vector<std::vector<std::string>> input_pins_;  ///< per master
 };
 
 /// Build the 10-cell library.  Masters (in index order): INV_X1, INV_X2,

@@ -137,8 +137,7 @@ int cmd_paths(std::vector<std::string>& args, const EngineOptions& opts) {
                           flow.config().budget, Corner::Worst,
                           flow.config().arc_policy, &nps,
                           &flow.context_cache());
-  ThreadPool pool(opts.threads);
-  const StaResult result = sta.run_parallel(wc, pool, &global_cancel_token());
+  const StaResult result = sta.run(wc);
   cache_snapshot(flow.context_cache(), opts);
   const auto paths = worst_paths(netlist, sta, wc, k);
   std::printf("%s: SVA worst-case design delay %.3f ns\n\n", name.c_str(),
@@ -578,8 +577,8 @@ int usage() {
     std::printf("  %-22s %s\n", cmd.usage_line, cmd.summary);
   std::printf(
       "global options:\n"
-      "  --threads N            worker threads for analyze/paths/optimize/\n"
-      "                         serve (default: hardware concurrency)\n"
+      "  --threads N            worker threads for analyze/optimize/serve\n"
+      "                         (default: hardware concurrency)\n"
       "  --metrics              print engine counters/timers on exit\n"
       "  --metrics-json PATH    write the metrics snapshot as JSON to PATH\n"
       "                         on exit ('-' = stdout)\n"

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "engine/metrics.hpp"
+#include "engine/thread_pool.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -295,21 +296,8 @@ std::vector<VersionKey> SvaFlow::bind_versions(
 }
 
 CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
-                                 const Placement& placement) const {
-  return analyze_impl(netlist, placement, nullptr, false, nullptr);
-}
-
-CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
-                                 const Placement& placement, ThreadPool& pool,
-                                 bool parallel_sta,
+                                 const Placement& placement,
                                  const CancelToken* cancel) const {
-  return analyze_impl(netlist, placement, &pool, parallel_sta, cancel);
-}
-
-CircuitAnalysis SvaFlow::analyze_impl(const Netlist& netlist,
-                                      const Placement& placement,
-                                      ThreadPool* pool, bool parallel_sta,
-                                      const CancelToken* cancel) const {
   SVA_REQUIRE(&placement.netlist() == &netlist);
   ScopedTimer timer(MetricsRegistry::global().timer("flow.analyze"));
   const Nm l_nom = config_.cell_tech.gate_length;
@@ -351,22 +339,9 @@ CircuitAnalysis SvaFlow::analyze_impl(const Netlist& netlist,
                                        &sva_nom, &sva_bc, &sva_wc};
   double* fields[6] = {&out.trad_nom_ps, &out.trad_bc_ps, &out.trad_wc_ps,
                        &out.sva_nom_ps, &out.sva_bc_ps, &out.sva_wc_ps};
-  auto run_one = [&](std::size_t i) {
-    *fields[i] =
-        (pool != nullptr && parallel_sta)
-            ? sta.run_parallel(*scales[i], *pool, cancel).critical_delay_ps
-            : sta.run(*scales[i]).critical_delay_ps;
-  };
-  if (pool != nullptr) {
-    TaskGroup group(*pool, cancel);
-    for (std::size_t i = 0; i < 6; ++i)
-      group.run([&run_one, i] { run_one(i); });
-    group.wait();
-  } else {
-    for (std::size_t i = 0; i < 6; ++i) {
-      if (cancel) cancel->check();
-      run_one(i);
-    }
+  for (std::size_t i = 0; i < 6; ++i) {
+    if (cancel) cancel->check();
+    *fields[i] = sta.run(*scales[i]).critical_delay_ps;
   }
   return out;
 }

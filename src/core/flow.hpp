@@ -39,7 +39,6 @@
 #include "core/classify.hpp"
 #include "core/scales.hpp"
 #include "engine/context_cache.hpp"
-#include "engine/thread_pool.hpp"
 #include "litho/cd_model.hpp"
 #include "netlist/iscas85.hpp"
 #include "opc/engine.hpp"
@@ -47,6 +46,7 @@
 #include "place/context.hpp"
 #include "place/placement.hpp"
 #include "sta/sta.hpp"
+#include "util/cancel.hpp"
 #include "util/diagnostics.hpp"
 
 namespace sva {
@@ -196,28 +196,19 @@ class SvaFlow {
   /// Bind every placed instance to its context version.
   std::vector<VersionKey> bind_versions(const Placement& placement) const;
 
-  /// Full Table 2 analysis of one placed circuit.
-  CircuitAnalysis analyze(const Netlist& netlist,
-                          const Placement& placement) const;
-
-  /// Parallel analysis: the six corner STA runs (traditional and SVA
-  /// {nominal, best, worst}) fan out as pool tasks; with `parallel_sta`
-  /// each run additionally levelizes across the pool.  Bit-identical to
-  /// the serial analyze() at any thread count.  A non-null `cancel` is
-  /// polled before each corner run (and per STA level when parallel_sta);
-  /// a tripped token surfaces as CancelledError out of analyze().
+  /// Full Table 2 analysis of one placed circuit: nps extraction and
+  /// version binding, annotation, then the six corner STA runs
+  /// (traditional and SVA {nominal, best, worst}) one after another on the
+  /// calling thread.  Parallelism lives one level up, across circuits
+  /// (engine/batch.hpp).  A non-null `cancel` is polled before each corner
+  /// run; a tripped token surfaces as CancelledError out of analyze().
   CircuitAnalysis analyze(const Netlist& netlist, const Placement& placement,
-                          ThreadPool& pool, bool parallel_sta = false,
                           const CancelToken* cancel = nullptr) const;
 
   /// Convenience: generate, place, analyze.
   CircuitAnalysis analyze_benchmark(const std::string& name) const;
 
  private:
-  CircuitAnalysis analyze_impl(const Netlist& netlist,
-                               const Placement& placement, ThreadPool* pool,
-                               bool parallel_sta,
-                               const CancelToken* cancel) const;
   /// Cold path of steps 3-4: fill library_opc_ + pitch_points_ with the
   /// per-master and per-grating solves fanned out across the cores.
   void run_setup_solves();

@@ -1,8 +1,10 @@
 #include "engine/batch.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "engine/metrics.hpp"
+#include "netlist/iscas85.hpp"
 #include "util/checkpoint.hpp"
 #include "util/diagnostics.hpp"
 #include "util/failpoint.hpp"
@@ -24,6 +26,20 @@ std::size_t BatchResult::cancelled_count() const {
   return n;
 }
 
+namespace {
+
+/// Gate count of a built-in circuit; 0 for any other name (its job then
+/// fails in its own slot).
+std::size_t job_gate_count(const std::string& circuit) {
+  try {
+    return iscas85_spec(circuit).gate_count;
+  } catch (const Error&) {
+    return 0;
+  }
+}
+
+}  // namespace
+
 BatchRunner::BatchRunner(const SvaFlow& flow, ThreadPool& pool,
                          BatchOptions options)
     : flow_(&flow), pool_(&pool), options_(options) {}
@@ -43,10 +59,8 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
   BatchResult out;
   out.analyses.resize(jobs.size());
   out.outcomes.resize(jobs.size());
-  // The group is NOT given the token: cancellation must land in per-job
-  // slots (so the checkpoint knows exactly which jobs are final), not
-  // surface as an exception out of wait().
-  TaskGroup group(*pool_);
+  std::vector<std::size_t> todo;
+  todo.reserve(jobs.size());
   for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
     if (resume_from != nullptr && !resume_from->outcomes[ji].cancelled) {
       // Final slot from the prior run (completed or deterministically
@@ -56,42 +70,50 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
       MetricsRegistry::global().counter("batch.jobs_resumed").add();
       continue;
     }
-    group.run([this, &jobs, &out, cancel, ji] {
-      const std::string& circuit = jobs[ji].circuit;
-      try {
-        if (cancel != nullptr) cancel->check();
-        // Keyed by circuit name: a prob() fault fails the same
-        // deterministic subset of jobs in every run and schedule.
-        SVA_FAILPOINT_KEYED("batch.job",
-                            fnv1a64(circuit.data(), circuit.size()));
-        const Netlist netlist = flow_->make_benchmark(circuit);
-        const Placement placement = flow_->make_placement(netlist);
-        out.analyses[ji] =
-            options_.parallel_corners
-                ? flow_->analyze(netlist, placement, *pool_,
-                                 options_.parallel_sta, cancel)
-                : flow_->analyze(netlist, placement);
-      } catch (const CancelledError& e) {
-        // Incomplete, not failed: the slot re-runs on resume.  No
-        // diagnostic -- cancellation is a user action, not a degradation.
-        out.analyses[ji] = CircuitAnalysis{};
-        out.analyses[ji].name = circuit;
-        out.outcomes[ji] = {false, e.what(), /*cancelled=*/true};
-        MetricsRegistry::global().counter("batch.jobs_cancelled").add();
-      } catch (const std::exception& e) {
-        // Isolate the fault to this job's slot: deterministic failed
-        // result (name only, zeroed numbers), batch continues.
-        out.analyses[ji] = CircuitAnalysis{};
-        out.analyses[ji].name = circuit;
-        out.outcomes[ji] = {false, e.what()};
-        MetricsRegistry::global().counter("batch.jobs_failed").add();
-        diag_warn("batch", "batch_job_failed",
-                  "job " + std::to_string(ji) + " (" + circuit +
-                      ") failed: " + e.what());
-      }
-    });
+    todo.push_back(ji);
   }
-  group.wait();
+  // Largest job first: claims are ascending, so the biggest circuit
+  // starts at once and the small ones fill the other lanes around it.
+  std::vector<std::size_t> size(jobs.size(), 0);
+  for (std::size_t ji : todo) size[ji] = job_gate_count(jobs[ji].circuit);
+  std::stable_sort(todo.begin(), todo.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return size[a] > size[b];
+                   });
+  // The loop is NOT given the token: cancellation must land in per-job
+  // slots (so the checkpoint knows exactly which jobs are final), not
+  // surface as an exception out of parallel_for.
+  auto run_job = [&](std::size_t k) {
+    const std::size_t ji = todo[k];
+    const std::string& circuit = jobs[ji].circuit;
+    try {
+      if (cancel != nullptr) cancel->check();
+      // Keyed by circuit name: a prob() fault fails the same
+      // deterministic subset of jobs in every run and schedule.
+      SVA_FAILPOINT_KEYED("batch.job", fnv1a64(circuit.data(), circuit.size()));
+      const Netlist netlist = flow_->make_benchmark(circuit);
+      const Placement placement = flow_->make_placement(netlist);
+      out.analyses[ji] = flow_->analyze(netlist, placement, cancel);
+    } catch (const CancelledError& e) {
+      // Incomplete, not failed: the slot re-runs on resume.  No
+      // diagnostic -- cancellation is a user action, not a degradation.
+      out.analyses[ji] = CircuitAnalysis{};
+      out.analyses[ji].name = circuit;
+      out.outcomes[ji] = {false, e.what(), /*cancelled=*/true};
+      MetricsRegistry::global().counter("batch.jobs_cancelled").add();
+    } catch (const std::exception& e) {
+      // Isolate the fault to this job's slot: deterministic failed
+      // result (name only, zeroed numbers), batch continues.
+      out.analyses[ji] = CircuitAnalysis{};
+      out.analyses[ji].name = circuit;
+      out.outcomes[ji] = {false, e.what()};
+      MetricsRegistry::global().counter("batch.jobs_failed").add();
+      diag_warn("batch", "batch_job_failed",
+                "job " + std::to_string(ji) + " (" + circuit +
+                    ") failed: " + e.what());
+    }
+  };
+  pool_->parallel_for(0, todo.size(), run_job, 1);
   if (!options_.keep_going) {
     for (std::size_t ji = 0; ji < jobs.size(); ++ji)
       if (!out.outcomes[ji].ok && !out.outcomes[ji].cancelled)

@@ -2,13 +2,15 @@
 // Deterministic multi-circuit batch runner over the SVA flow.
 //
 // A batch is a list of jobs (benchmark circuit names today; the struct
-// leaves room for per-job knobs).  Jobs fan out across the pool; inside a
-// job the six corner STA runs fan out again, and optionally each run
-// levelizes across the pool too -- all three tiers compose because waiting
-// threads execute queued work (see thread_pool.hpp).  Results land in a
-// vector indexed by job, so the output ordering -- and, because every
-// computation is bit-exact under reordering, the output values -- are
-// independent of thread count and schedule.
+// leaves room for per-job knobs).  Execution has one tier: the jobs are one
+// flat parallel_for (grain 1) over the pool, and each job generates, places
+// and analyzes its circuit serially, six corner STA runs included.  Jobs
+// are claimed largest first (by the built-in circuit's gate count), so the
+// job that bounds the sweep starts at once and the small ones fill the
+// other lanes around it.  Results land in a vector indexed by job, so the
+// output ordering -- and, because every job is a pure function of (flow,
+// circuit), the output values -- are independent of thread count and
+// schedule.
 
 #include <cstdint>
 #include <string>
@@ -25,15 +27,13 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  bool parallel_corners = true;  ///< fan the 6 corner runs out as tasks
-  bool parallel_sta = true;      ///< levelized parallel_for inside each run
   /// Per-job fault isolation: a throwing job records a Failed outcome (and
   /// a "batch_job_failed" diagnostic) in its own slot, deterministically,
   /// and every other job still runs.  false => run() raises the first
   /// failure in job order after all jobs settle (the CLI's --strict).
   bool keep_going = true;
-  /// Cooperative cancellation: polled at every job boundary and inside
-  /// each job's corner fan-out / levelized STA.  A job in flight when the
+  /// Cooperative cancellation: polled at every job boundary and before
+  /// each of a job's corner STA runs.  A job in flight when the
   /// token trips finishes or unwinds cleanly; its slot and every not-yet-
   /// started slot are marked cancelled (run() itself still returns).
   const CancelToken* cancel = nullptr;

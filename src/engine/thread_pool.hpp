@@ -1,25 +1,24 @@
 #pragma once
-// Work-stealing thread pool and fork/join primitives.
+// Thread pool with one parallel primitive: parallel_for, a claim loop.
 //
-// Each worker owns a deque: it pops its own work LIFO (cache locality) and
-// steals FIFO from siblings when empty, so a burst of chunks submitted by
-// one parallel_for spreads across the pool.  Waiting is cooperative --
-// TaskGroup::wait() and parallel_for() execute queued tasks on the calling
-// thread instead of blocking -- which makes nested parallelism (a batch job
-// that itself runs a levelized parallel STA pass) deadlock-free: every
-// waiter is also a worker.
+// One atomic counter hands out the loop's chunks in ascending order.  The
+// calling thread runs the claim loop itself, together with up to
+// thread_count() helper tasks queued on the pool, so a loop has at most
+// thread_count() + 1 lanes.  When the counter runs out the caller closes
+// the loop and blocks on a condition variable until the helpers that
+// already joined have finished their chunks; a helper that starts after
+// the close returns at once without touching the caller's body or data.
+// There is no cooperative waiting: no thread ever runs a queued task
+// while it waits, so a timer around a loop body only counts that body.
 //
-// A pool with zero threads degrades to deferred inline execution: submit()
-// queues, and the work runs on whichever thread waits.  parallel_for short-
-// circuits to a plain loop in that case.
+// Nested parallel_for calls cannot deadlock -- a caller never waits on a
+// queued task that has not started -- and a pool with zero threads still
+// works: the caller then runs every chunk itself.
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,8 +29,8 @@ namespace sva {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers.  0 => no worker threads; queued tasks run
-  /// on threads that wait (TaskGroup::wait / parallel_for).
+  /// Spawns `threads` workers.  0 => no worker threads; every parallel_for
+  /// runs on its calling thread.
   explicit ThreadPool(std::size_t threads = default_thread_count());
   ~ThreadPool();
 
@@ -43,93 +42,32 @@ class ThreadPool {
 
   std::size_t thread_count() const { return threads_.size(); }
 
-  /// Enqueue one task.  Never runs inline; ordering between tasks is
-  /// unspecified.  Tasks must not throw out -- wrap with TaskGroup (which
-  /// captures and rethrows) for anything that can fail.
-  void submit(std::function<void()> task);
-
-  /// Execute one queued task on the calling thread, if any is available.
-  /// This is how external threads help drain the pool.
-  bool try_run_one();
-
-  /// Parallel loop over [begin, end): fn(i) for every index, partitioned
-  /// into chunks of ~`grain` indices (0 => automatic).  Blocks until every
-  /// index ran; the calling thread participates.  Writes to distinct
-  /// locations per index are race-free; no ordering between indices.
+  /// Parallel loop over [begin, end): fn(i) for every index, in chunks of
+  /// ~`grain` indices (0 => automatic) claimed in ascending order.  Blocks
+  /// until every chunk ran; the calling thread is one of the lanes.
+  /// Writes to distinct locations per index are race-free; indices of one
+  /// chunk run in order on one thread, chunks run in no particular order.
   ///
-  /// A non-null `cancel` is polled once per chunk; once tripped, chunks
-  /// not yet started are skipped and the loop exits by throwing
-  /// CancelledError after all in-flight chunks drain.  Chunks that did run
-  /// ran completely -- a caller observing CancelledError knows its state
-  /// is a clean prefix, never a torn update.  Null `cancel` costs one
-  /// untaken branch per chunk.
+  /// Before each chunk the "engine.task" failpoint fires and a non-null
+  /// `cancel` is polled; either skips that chunk's body.  A throwing chunk
+  /// does not stop the others: after the join the first captured failure
+  /// is rethrown (CancelledError once the token trips), so chunks that did
+  /// run ran completely -- a caller observing CancelledError knows its
+  /// state is a clean prefix, never a torn update.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 0,
                     const CancelToken* cancel = nullptr);
 
-  struct Stats {
-    std::uint64_t executed = 0;  ///< tasks run to completion
-    std::uint64_t steals = 0;    ///< tasks taken from another worker's deque
-  };
-  Stats stats() const;
-
  private:
-  friend class TaskGroup;
+  void submit(std::function<void()> task);
+  void worker_main();
 
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void worker_main(std::size_t id);
-  /// Pop own queue LIFO, else steal FIFO starting after `self`.
-  bool try_pop(std::size_t self, std::function<void()>& task);
-  void execute(std::function<void()>& task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> queued_{0};     ///< tasks sitting in deques
-  std::atomic<std::size_t> next_queue_{0};  ///< round-robin submit cursor
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> steals_{0};
-};
-
-/// Fork/join scope over a pool: run() fires tasks, wait() helps execute
-/// queued work until every task of this group finished, then rethrows the
-/// first captured exception, if any.
-class TaskGroup {
- public:
-  /// A non-null `cancel` is polled before each task body: tripped =>
-  /// the task throws CancelledError instead of running, and wait()
-  /// rethrows the first captured exception as usual (so a real fault that
-  /// landed before the cancellation still surfaces as itself).
-  explicit TaskGroup(ThreadPool& pool, const CancelToken* cancel = nullptr)
-      : pool_(&pool), cancel_(cancel) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void run(std::function<void()> fn);
-  void wait();
-
- private:
-  void finish_one();
-
-  ThreadPool* pool_;
-  const CancelToken* cancel_ = nullptr;
-  // All group state lives under mu_: the finishing task's last touch of
-  // the group is its mu_ unlock, so once wait() observes pending_ == 0
-  // under mu_ the group is safe to destroy (no decrement-then-lock
-  // window for a waiter to race through).
   std::mutex mu_;
   std::condition_variable cv_;
-  std::size_t pending_ = 0;
-  std::exception_ptr error_;  ///< first failure
+  std::deque<std::function<void()>> tasks_;  ///< guarded by mu_
+  bool stop_ = false;                         ///< guarded by mu_
 };
 
 }  // namespace sva

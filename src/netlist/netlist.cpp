@@ -18,12 +18,9 @@ std::size_t Netlist::add_primary_input(const std::string& name) {
   return nets_.size() - 1;
 }
 
-std::vector<std::string> Netlist::input_pins_of(std::size_t cell_index) const {
-  const CellMaster& master = library_->master(cell_index);
-  std::vector<std::string> pins;
-  for (const Pin& p : master.pins())
-    if (!p.is_output) pins.push_back(p.name);
-  return pins;
+const std::vector<std::string>& Netlist::input_pins_of(
+    std::size_t cell_index) const {
+  return library_->input_pins(cell_index);
 }
 
 std::size_t Netlist::add_gate(const std::string& name, std::size_t cell_index,
@@ -31,7 +28,7 @@ std::size_t Netlist::add_gate(const std::string& name, std::size_t cell_index,
   SVA_REQUIRE_MSG(topo_cache_.empty(),
                   "netlist is frozen after topological_order()");
   SVA_REQUIRE(cell_index < library_->size());
-  const auto input_pins = input_pins_of(cell_index);
+  const auto& input_pins = input_pins_of(cell_index);
   SVA_REQUIRE_MSG(fanins.size() == input_pins.size(),
                   "fanin count must equal the master's input pin count");
   for (std::size_t n : fanins) SVA_REQUIRE(n < nets_.size());

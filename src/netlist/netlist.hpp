@@ -70,7 +70,7 @@ class Netlist {
   std::size_t primary_output_count() const;
 
   /// Input-pin names of a gate's master, in fanin order.
-  std::vector<std::string> input_pins_of(std::size_t cell_index) const;
+  const std::vector<std::string>& input_pins_of(std::size_t cell_index) const;
 
   /// Gates in topological order (fanins before the gate).  Cached after
   /// first call; the netlist must not be modified afterwards.

@@ -33,6 +33,7 @@
 
 #include "core/budget.hpp"
 #include "core/classify.hpp"
+#include "engine/thread_pool.hpp"
 #include "netlist/netlist.hpp"
 #include "opt/moves.hpp"
 #include "opt/sizing.hpp"

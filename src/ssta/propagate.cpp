@@ -116,7 +116,7 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st,
   const GateInst& gate = nl.gates()[gi];
   const CharacterizedCell& cell = library_->cells[gate.cell_index];
   const double load = sta_.net_load_ff(gate.output_net);
-  const auto pins = nl.input_pins_of(gate.cell_index);
+  const auto& pins = nl.input_pins_of(gate.cell_index);
   const std::size_t n = gate.fanin_nets.size();
 
   CanonicalDelay acc;

@@ -32,7 +32,7 @@ std::string criticality_csv(const Netlist& netlist, const SstaResult& ssta,
 
   for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi) {
     const GateInst& gate = netlist.gates()[gi];
-    const auto pins = netlist.input_pins_of(gate.cell_index);
+    const auto& pins = netlist.input_pins_of(gate.cell_index);
     for (std::size_t pi = 0; pi < gate.fanin_nets.size(); ++pi) {
       const std::size_t in_net = gate.fanin_nets[pi];
       rows.push_back({"arc", gate.name, pins[pi], netlist.nets()[in_net].name,

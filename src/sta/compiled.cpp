@@ -131,8 +131,6 @@ CompiledTiming::CompiledTiming(
   gate_rec_of_.assign(netlist.gates().size(), 0);
   gates_.reserve(netlist.gates().size());
   for (const std::vector<std::size_t>& level : levels) {
-    LevelSpan span;
-    span.begin = static_cast<std::uint32_t>(gates_.size());
     for (std::size_t gi : level) {
       const GateInst& gate = netlist.gates()[gi];
       const std::vector<TableRef>& tables = cell_tables_[gate.cell_index];
@@ -158,8 +156,6 @@ CompiledTiming::CompiledTiming(
         arcs_.push_back(arc);
       }
     }
-    span.end = static_cast<std::uint32_t>(gates_.size());
-    level_spans_.push_back(span);
   }
 
   // Fan-out in record space for the dirty sweep.  Its correctness rests

@@ -2,8 +2,8 @@
 // Data-oriented flat STA kernel: the levelized timing graph compiled once
 // into structure-of-arrays arc records plus a packed, deduplicated NLDM
 // table arena ("timing bytecode").  It is the one evaluation engine behind
-// every non-reference analysis: full passes (Sta::run / run_parallel) and
-// incremental and what-if re-timing (Sta::run_incremental / run_what_if).
+// every non-reference analysis: full passes (Sta::run) and incremental
+// and what-if re-timing (Sta::run_incremental / run_what_if).
 //
 // The scalar path (Sta::run_scalar) interprets the netlist on every pass:
 // it chases GateInst -> CharacterizedCell -> NldmTable -> LookupTable2D
@@ -100,15 +100,9 @@ class CompiledTiming {
     std::uint32_t gate = 0;  ///< netlist gate index
   };
 
-  /// Contiguous [begin, end) gate-record range of one topological level.
-  struct LevelSpan {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-
   /// Compile the program.  `levels` is the level-bucketed topological
   /// order the Sta constructor builds; gate records are laid out in that
-  /// order so a level is always a contiguous span.
+  /// order, so every sink record lies above its driver's record.
   CompiledTiming(const Netlist& netlist, const CharacterizedLibrary& library,
                  const StaConfig& config,
                  const std::vector<std::vector<std::size_t>>& levels);
@@ -129,9 +123,8 @@ class CompiledTiming {
 
   /// Evaluate gate records [first, last): for each gate, the worst
   /// arrival/slew/fanin over its arcs, written to result's arrays.  All
-  /// fanins of a gate live at strictly lower levels and each gate writes
-  /// only its own output net, so disjoint ranges of one level may be
-  /// evaluated concurrently.
+  /// fanins of a gate live at strictly lower levels, so evaluating the
+  /// records in index order is a valid dataflow order.
   void evaluate_span(std::size_t first, std::size_t last,
                      const double* factors, const double* loads,
                      StaResult& result) const;
@@ -153,7 +146,6 @@ class CompiledTiming {
   /// in-place pin-compatible swap (Netlist::set_gate_cell).
   void refresh_gate(std::size_t gate, std::size_t cell_index);
 
-  const std::vector<LevelSpan>& level_spans() const { return level_spans_; }
   const GateRec& gate_record(std::size_t r) const { return gates_[r]; }
   std::size_t gate_count() const { return gates_.size(); }
   std::size_t arc_count() const { return arcs_.size(); }
@@ -190,7 +182,6 @@ class CompiledTiming {
   std::vector<double> arena_;    ///< packed axes + values, deduplicated
   std::vector<ArcRec> arcs_;     ///< grouped per gate, gates level-major
   std::vector<GateRec> gates_;   ///< level-major topological order
-  std::vector<LevelSpan> level_spans_;
   std::vector<std::uint32_t> gate_rec_of_;  ///< netlist gate -> GateRec
   /// CSR fan-out per gate record: the records of its output net's sinks
   /// (all strictly greater than the record itself).

@@ -195,37 +195,6 @@ StaResult Sta::run_scalar(const ArcScaleProvider& scale) const {
   return result;
 }
 
-StaResult Sta::run_parallel(const ArcScaleProvider& scale, ThreadPool& pool,
-                            const CancelToken* cancel) const {
-  ScopedTimer timer(MetricsRegistry::global().timer("sta.parallel_run"));
-  StaResult result = make_result();
-  std::vector<double> factors;
-  compiled_->gather_factors(scale, factors);
-
-  // A gate evaluation is a handful of NLDM lookups; chunks well below
-  // kGrain gates are pure fork/join overhead, so narrow levels run
-  // inline and wide ones split into kGrain-gate tasks.
-  constexpr std::size_t kGrain = 64;
-  for (const CompiledTiming::LevelSpan& span : compiled_->level_spans()) {
-    if (cancel) cancel->check();  // level granularity: ~100s of gates
-    const std::size_t width = span.end - span.begin;
-    if (pool.thread_count() == 0 || width < 2 * kGrain) {
-      compiled_->evaluate_span(span.begin, span.end, factors.data(),
-                               load_cache_.data(), result);
-      continue;
-    }
-    pool.parallel_for(
-        span.begin, span.end,
-        [&](std::size_t g) {
-          compiled_->evaluate_span(g, g + 1, factors.data(),
-                                   load_cache_.data(), result);
-        },
-        kGrain);
-  }
-  finalize_result(result);
-  return result;
-}
-
 StaResult Sta::propagate_incremental(
     const ArcScaleProvider& scale, const StaResult& previous,
     const std::vector<std::size_t>& seed_gates,

@@ -10,8 +10,8 @@
 // Two interchangeable engines produce bit-identical results:
 //
 //   * the compiled flat kernel (see sta/compiled.hpp) runs every analysis
-//     but the reference one: run()/run_parallel() full passes and the
-//     run_incremental()/run_what_if() dirty sweeps.  The levelized graph
+//     but the reference one: run() full passes and the run_incremental()/
+//     run_what_if() dirty sweeps.  The levelized graph
 //     is flattened once into structure-of-arrays arc records over a
 //     deduplicated NLDM table arena, evaluated by one tight per-gate body.
 //   * run_scalar() interprets the netlist directly; it is the readable
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "cell/characterize.hpp"
-#include "engine/thread_pool.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/scale.hpp"
 
@@ -91,17 +90,6 @@ class Sta {
   /// the characterized-cell tables.  Same results as run() bit for bit;
   /// kept as the readable specification and differential-test oracle.
   StaResult run_scalar(const ArcScaleProvider& scale) const;
-
-  /// Levelized parallel analysis on the compiled kernel: every topological
-  /// level is partitioned across the pool with parallel_for.  A gate's
-  /// fanins all live at strictly lower levels and each gate writes only
-  /// its own output net, so the result is bit-identical to run(scale) at
-  /// any thread count and under any task schedule.  Small levels run
-  /// inline (task overhead would dominate).  A non-null `cancel` is
-  /// polled once per level (throwing CancelledError); the per-gate inner
-  /// loop stays unchecked.
-  StaResult run_parallel(const ArcScaleProvider& scale, ThreadPool& pool,
-                         const CancelToken* cancel = nullptr) const;
 
   /// Late-mode analysis plus required times and slacks against a clock
   /// period (backward min-propagation of required times through the same

@@ -2,9 +2,9 @@
 // Cooperative cancellation and wall-clock deadlines for long runs.
 //
 // A CancelToken is a shared flag that long loops poll at iteration
-// granularity: the batch runner between jobs, the ECO optimizer between
-// commit iterations, parallel_for between chunks, the levelized STA
-// between levels.  Nothing is ever interrupted mid-computation -- a
+// granularity: the batch runner between jobs, SvaFlow::analyze between
+// corner runs, the ECO optimizer between commit iterations,
+// parallel_for between chunks.  Nothing is ever interrupted mid-computation -- a
 // cancelled operation finishes (or discards) the unit it is on and stops
 // at the next poll site, which is what makes checkpointed state always a
 // prefix of an uninterrupted run.

@@ -747,16 +747,22 @@ TEST_F(BatchFaultTest, StrictBatchRaisesFirstFailureInJobOrder) {
 }
 
 TEST_F(BatchFaultTest, TaskFaultSurfacesAtWaitNotTerminate) {
-  ThreadPool pool(2);
   FailPoints::set("engine.task", "throw");
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i)
-    group.run([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  // The injected fault fires inside the pool's task wrapper; it must be
-  // captured and rethrown here, never escape a worker thread.
-  EXPECT_THROW(group.wait(), FailPointError);
-  EXPECT_EQ(ran.load(), 0);
+  for (std::size_t threads : {0u, 2u}) {
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    // The injected fault fires before each chunk's body, on the caller as
+    // on the helpers; it must be captured and rethrown at the call after
+    // the join, never escape a worker thread.
+    EXPECT_THROW(pool.parallel_for(
+                     0, 4,
+                     [&](std::size_t) {
+                       ran.fetch_add(1, std::memory_order_relaxed);
+                     },
+                     1),
+                 FailPointError);
+    EXPECT_EQ(ran.load(), 0) << threads << " threads";
+  }
 }
 
 // ----------------------------------------------- cancellation & deadlines
@@ -824,36 +830,56 @@ TEST_F(CancelTest, CancelledErrorBypassesFaultHandlers) {
 }
 
 TEST_F(CancelTest, ParallelForStopsBetweenChunks) {
-  ThreadPool pool(2);
-  CancelToken token;
-  token.request_cancel();
-  std::atomic<std::size_t> ran{0};
-  EXPECT_THROW(
-      pool.parallel_for(
-          0, 1000,
-          [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
-          0, &token),
-      CancelledError);
-  // Pre-tripped token: every chunk checks before running its indices.
-  EXPECT_EQ(ran.load(), 0u);
+  for (std::size_t threads : {0u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    CancelToken token;
+    token.request_cancel();
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(
+        pool.parallel_for(
+            0, 1000,
+            [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
+            0, &token),
+        CancelledError);
+    // Pre-tripped token: every chunk checks before running its indices.
+    EXPECT_EQ(ran.load(), 0u) << threads << " threads";
 
-  // A null token costs nothing and runs everything.
-  pool.parallel_for(0, 100, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 100u);
+    // A null token costs nothing and runs everything.
+    pool.parallel_for(0, 100, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(ran.load(), 100u);
+  }
 }
 
-TEST_F(CancelTest, TaskGroupSkipsBodiesAfterTrip) {
-  ThreadPool pool(2);
-  CancelToken token;
-  token.request_cancel();
-  TaskGroup group(pool, &token);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i)
-    group.run([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_THROW(group.wait(), CancelledError);
-  EXPECT_EQ(ran.load(), 0);
+TEST_F(CancelTest, ParallelForSkipsBodiesAfterTrip) {
+  // A body trips the token mid-loop: chunks claimed later skip their
+  // bodies and the call throws CancelledError.  With no workers the
+  // caller claims in ascending order, so exactly the prefix ran.
+  for (std::size_t threads : {0u, 2u}) {
+    ThreadPool pool(threads);
+    CancelToken token;
+    std::vector<std::atomic<int>> hits(1000);
+    EXPECT_THROW(pool.parallel_for(
+                     0, hits.size(),
+                     [&](std::size_t i) {
+                       if (i == 10) token.request_cancel();
+                       hits[i].fetch_add(1, std::memory_order_relaxed);
+                     },
+                     1, &token),
+                 CancelledError);
+    std::size_t ran = 0;
+    for (const std::atomic<int>& h : hits) {
+      EXPECT_LE(h.load(), 1);
+      ran += static_cast<std::size_t>(h.load());
+    }
+    EXPECT_EQ(hits[10].load(), 1);
+    if (threads == 0) {
+      EXPECT_EQ(ran, 11u);
+    } else {
+      EXPECT_LT(ran, hits.size());
+    }
+  }
 }
 
 // ------------------------------------------------- file locks & takeover
