@@ -1,18 +1,19 @@
-// Persistent characterization-cache benchmark: cold vs warm start.
+// Persistent setup-snapshot benchmark: cold vs warm start.
 //
 // The flow's characterization stage -- library OPC of every master plus
 // the post-OPC pitch->CD gratings -- dominates startup (tens of ms of
-// litho simulation), and the 81-version context expansion rides on top of
-// it.  Both are pure functions of the configuration, so the persistent
-// cache snapshots them once and later runs restore bit-identical products
-// from disk.  This bench quantifies the warm-start win:
+// litho simulation).  Both products are pure functions of the
+// configuration, so the setup snapshot stores them once and later runs
+// restore bit-identical products from disk.  The 81-version context
+// expansion is not persisted: ContextLibrary builds its whole dense table
+// at construction.  This bench reports:
 //
 //   * setup stage: SvaFlow construction cold (full OPC) vs warm (snapshot
 //     restore), products asserted bit-identical;
-//   * version expansion: characterizing every (cell, version) slot from
-//     scratch vs restoring the slot snapshot;
-//   * per Table-2 circuit: full startup (flow construction + the slots
-//     that circuit's placement touches), cold vs warm.
+//   * table build: ContextLibrary construction for the flow's library and
+//     for the ECO sizing ladder's expanded library;
+//   * per Table-2 circuit: flow construction + analyze, cold vs warm, with
+//     the two analyses asserted bit-identical.
 //
 // Writes BENCH_cache.json.
 
@@ -20,14 +21,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/flow.hpp"
-#include "engine/context_cache.hpp"
 #include "engine/thread_pool.hpp"
-#include "place/context.hpp"
+#include "opt/sizing.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
 #include "util/error.hpp"
@@ -40,6 +39,7 @@ namespace {
 const std::vector<std::string> kTable2Circuits = {"C432", "C880", "C1355",
                                                   "C1908", "C3540"};
 constexpr int kRepeats = 3;
+constexpr int kTableRepeats = 5;
 
 std::uint64_t ns_of(const std::chrono::steady_clock::time_point& t0) {
   return static_cast<std::uint64_t>(
@@ -54,56 +54,43 @@ FlowConfig config_with_cache(const std::string& dir) {
   return cfg;
 }
 
-/// The distinct (cell, version index) slots a placed circuit touches.
-std::vector<std::pair<std::size_t, std::size_t>> touched_slots(
-    const SvaFlow& flow, const std::string& name) {
-  const Netlist netlist = flow.make_benchmark(name);
-  const Placement placement = flow.make_placement(netlist);
-  const auto versions = flow.bind_versions(placement);
-  const std::size_t bins = flow.config().bins.count();
-  std::set<std::pair<std::size_t, std::size_t>> slots;
-  for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi)
-    slots.insert({netlist.gates()[gi].cell_index,
-                  version_index(versions[gi], bins)});
-  return {slots.begin(), slots.end()};
-}
-
-/// Characterize the given slots on a cache; returns wall ns.
-std::uint64_t time_fill(
-    const ContextCache& cache,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slots,
-    std::size_t bins) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& [ci, vi] : slots)
-    cache.version_lengths(ci, version_key(vi, bins));
-  return ns_of(t0);
-}
-
-void assert_identical(
-    const ContextCache& a, const ContextCache& b,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slots,
-    std::size_t bins) {
-  for (const auto& [ci, vi] : slots) {
-    const VersionKey key = version_key(vi, bins);
-    SVA_ASSERT_MSG(a.version_lengths(ci, key) == b.version_lengths(ci, key),
-                   "warm slot differs from cold slot");
+/// Best-of-kTableRepeats wall time of one ContextLibrary construction.
+std::uint64_t time_table_build(const CharacterizedLibrary& characterized,
+                               const std::vector<LibraryOpcCellResult>& opc,
+                               const SvaFlow& flow) {
+  std::uint64_t best = ~0ull;
+  for (int r = 0; r < kTableRepeats; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const ContextLibrary library(characterized, opc, flow.boundary_model(),
+                                 flow.config().bins);
+    best = std::min(best, ns_of(t0));
   }
+  return best;
+}
+
+void assert_identical(const CircuitAnalysis& a, const CircuitAnalysis& b) {
+  SVA_ASSERT_MSG(a.trad_nom_ps == b.trad_nom_ps &&
+                     a.trad_bc_ps == b.trad_bc_ps &&
+                     a.trad_wc_ps == b.trad_wc_ps &&
+                     a.sva_nom_ps == b.sva_nom_ps &&
+                     a.sva_bc_ps == b.sva_bc_ps &&
+                     a.sva_wc_ps == b.sva_wc_ps &&
+                     a.arc_class_counts == b.arc_class_counts,
+                 "warm analysis differs from cold");
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== Persistent characterization cache: cold vs warm ===\n\n");
+  std::printf("=== Persistent setup snapshot: cold vs warm ===\n\n");
   const std::string cache_dir = ".bench_cache_tmp";
   std::filesystem::remove_all(cache_dir);
 
   // Seed flow: cold construction that also writes the setup snapshot.
   const SvaFlow flow{config_with_cache(cache_dir)};
   SVA_ASSERT(!flow.setup_from_cache());
-  const ContextLibrary& library = flow.context_library();
-  const std::size_t bins = flow.config().bins.count();
-  const std::size_t cells = library.characterized().cells.size();
-  const std::size_t versions = library.bins().version_count();
+  const std::size_t cells = flow.context_library().characterized().cells.size();
+  const std::size_t versions = flow.config().bins.version_count();
 
   // --- Setup stage: library OPC + pitch characterization. ------------
   std::uint64_t setup_cold = ~0ull, setup_warm = ~0ull;
@@ -134,88 +121,54 @@ int main() {
   std::printf("  warm restore:      %8.3f ms   (speedup %.1fx)\n\n",
               setup_warm * 1e-6, setup_speedup);
 
-  // --- Version expansion: all cells x all versions. ------------------
-  // Snapshot once from a fully warmed cache, then race a cold full
-  // characterization against a disk restore (best of kRepeats each).
-  {
-    const ContextCache full(library);
-    full.warm_all();
-    full.save(cache_dir);
-  }
-  std::uint64_t lib_cold = ~0ull, lib_warm = ~0ull;
-  for (int r = 0; r < kRepeats; ++r) {
-    const ContextCache cold(library);
-    const auto t0 = std::chrono::steady_clock::now();
-    cold.warm_all();
-    lib_cold = std::min(lib_cold, ns_of(t0));
+  // --- Table build: ContextLibrary construction. ---------------------
+  // The sized library's variants reuse their base cell's library-OPC CDs.
+  const SizedLibrary sized(flow.library(), flow.config().electrical,
+                           flow.library_opc_results(), flow.boundary_model(),
+                           flow.config().bins);
+  const std::size_t sized_cells = sized.characterized().cells.size();
+  std::vector<LibraryOpcCellResult> sized_opc;
+  for (std::size_t ci = 0; ci < sized_cells; ++ci)
+    sized_opc.push_back(flow.library_opc_results()[sized.base_of(ci)]);
+  const std::uint64_t flow_table =
+      time_table_build(flow.characterized(), flow.library_opc_results(), flow);
+  const std::uint64_t sized_table =
+      time_table_build(sized.characterized(), sized_opc, flow);
+  std::printf("context table build (ContextLibrary construction):\n");
+  std::printf("  flow library:  %4zu slots  %8.3f ms\n", cells * versions,
+              flow_table * 1e-6);
+  std::printf("  sized library: %4zu slots  %8.3f ms\n\n",
+              sized_cells * versions, sized_table * 1e-6);
 
-    const ContextCache warm(library);
-    const auto t1 = std::chrono::steady_clock::now();
-    SVA_ASSERT(warm.try_load(cache_dir));
-    lib_warm = std::min(lib_warm, ns_of(t1));
-    SVA_ASSERT(warm.stats().disk_hits == cells * versions);
-  }
-  const double lib_speedup =
-      static_cast<double>(lib_cold) / static_cast<double>(lib_warm);
-  const auto file_size = std::filesystem::file_size(
-      ContextCache(library).cache_file_path(cache_dir));
-  std::printf("version expansion (%zu cells x %zu versions, %ju-byte "
-              "file):\n",
-              cells, versions, static_cast<std::uintmax_t>(file_size));
-  std::printf("  cold characterize: %8.3f ms\n", lib_cold * 1e-6);
-  std::printf("  warm restore:      %8.3f ms   (speedup %.1fx)\n\n",
-              lib_warm * 1e-6, lib_speedup);
-
-  // --- Per Table-2 circuit: full startup. ----------------------------
-  // Cold: flow construction (full OPC) + characterizing the slots the
-  // circuit's placement binds.  Warm: flow construction off the setup
-  // snapshot + restoring that circuit's slot snapshot -- what consecutive
-  // CLI runs of the same circuit actually pay.
-  Table table({"Testcase", "Slots", "Cold ms", "Warm ms", "Speedup"});
+  // --- Per Table-2 circuit: startup + analyze. -----------------------
+  // Cold: flow construction (full OPC) + analyze.  Warm: flow
+  // construction off the setup snapshot + analyze -- what consecutive CLI
+  // runs of the same circuit pay.
+  Table table({"Testcase", "Cold ms", "Warm ms", "Speedup"});
   std::vector<std::string> rows_json;
   for (const std::string& name : kTable2Circuits) {
-    const auto slots = touched_slots(flow, name);
-    const std::string dir = cache_dir + "/" + name;
-    {
-      const ContextCache seed(library);
-      time_fill(seed, slots, bins);
-      seed.save(dir);
-    }
     std::uint64_t cold_ns = ~0ull, warm_ns = ~0ull;
     for (int r = 0; r < kRepeats; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
       const SvaFlow cold{FlowConfig{}};
-      const std::uint64_t cold_total =
-          ns_of(t0) + time_fill(cold.context_cache(), slots, bins);
-      cold_ns = std::min(cold_ns, cold_total);
+      const CircuitAnalysis a = cold.analyze_benchmark(name);
+      cold_ns = std::min(cold_ns, ns_of(t0));
 
       const auto t1 = std::chrono::steady_clock::now();
       const SvaFlow warm{config_with_cache(cache_dir)};
-      SVA_ASSERT(warm.try_load_context_cache(dir));
-      const std::uint64_t warm_total =
-          ns_of(t1) + time_fill(warm.context_cache(), slots, bins);
-      warm_ns = std::min(warm_ns, warm_total);
+      const CircuitAnalysis b = warm.analyze_benchmark(name);
+      warm_ns = std::min(warm_ns, ns_of(t1));
       SVA_ASSERT(warm.setup_from_cache());
-      if (r == 0)
-        assert_identical(cold.context_cache(), warm.context_cache(), slots,
-                         bins);
+      assert_identical(a, b);
     }
     const double speedup =
         static_cast<double>(cold_ns) / static_cast<double>(warm_ns);
-    table.add_row({name, std::to_string(slots.size()), fmt(cold_ns * 1e-6, 3),
-                   fmt(warm_ns * 1e-6, 3), fmt(speedup, 1)});
-    std::string row = "{\"bench\": \"";
-    row += name;
-    row += "\", \"slots\": ";
-    row += std::to_string(slots.size());
-    row += ", \"cold_ns\": ";
-    row += std::to_string(cold_ns);
-    row += ", \"warm_ns\": ";
-    row += std::to_string(warm_ns);
-    row += ", \"speedup\": ";
-    row += fmt(speedup, 2);
-    row += "}";
-    rows_json.push_back(row);
+    table.add_row({name, fmt(cold_ns * 1e-6, 3), fmt(warm_ns * 1e-6, 3),
+                   fmt(speedup, 1)});
+    rows_json.push_back("{\"bench\": \"" + name + "\", \"cold_ns\": " +
+                        std::to_string(cold_ns) + ", \"warm_ns\": " +
+                        std::to_string(warm_ns) + ", \"speedup\": " +
+                        fmt(speedup, 2) + "}");
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -223,8 +176,10 @@ int main() {
   std::string json = "{\n  \"bench\": \"cache\",\n  \"nproc\": ";
   json += std::to_string(ThreadPool::default_thread_count());
   json += ",\n  \"note\": \"cold setup runs library OPC + pitch gratings "
-          "across nproc lanes, so setup_speedup shrinks with more cores "
-          "(47.87x on a 1-core host)\",\n  \"cells\": ";
+          "across nproc lanes, so setup_speedup shrinks with more cores; "
+          "*_table_build_ns is one ContextLibrary construction (device "
+          "geometry + every (cell, version, arc) entry), best of " +
+          std::to_string(kTableRepeats) + "\",\n  \"cells\": ";
   json += std::to_string(cells);
   json += ",\n  \"versions_per_cell\": ";
   json += std::to_string(versions);
@@ -234,14 +189,14 @@ int main() {
   json += std::to_string(setup_warm);
   json += ",\n  \"setup_speedup\": ";
   json += fmt(setup_speedup, 2);
-  json += ",\n  \"slot_file_bytes\": ";
-  json += std::to_string(static_cast<std::uintmax_t>(file_size));
-  json += ",\n  \"expansion_cold_ns\": ";
-  json += std::to_string(lib_cold);
-  json += ",\n  \"expansion_warm_ns\": ";
-  json += std::to_string(lib_warm);
-  json += ",\n  \"expansion_speedup\": ";
-  json += fmt(lib_speedup, 2);
+  json += ",\n  \"flow_table_slots\": ";
+  json += std::to_string(cells * versions);
+  json += ",\n  \"flow_table_build_ns\": ";
+  json += std::to_string(flow_table);
+  json += ",\n  \"sized_table_slots\": ";
+  json += std::to_string(sized_cells * versions);
+  json += ",\n  \"sized_table_build_ns\": ";
+  json += std::to_string(sized_table);
   json += ",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < rows_json.size(); ++i) {
     json += "    ";

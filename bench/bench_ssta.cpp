@@ -90,7 +90,7 @@ int main() {
       const auto t0 = std::chrono::steady_clock::now();
       const SstaEngine engine(netlist, flow.characterized(),
                               flow.context_library(), versions, model,
-                              flow.config().sta, &flow.context_cache());
+                              flow.config().sta);
       critical = engine.run().critical;
       ssta_ns = std::min(ssta_ns, ns_of(t0));
     }
@@ -115,13 +115,11 @@ int main() {
             .critical_delay_ps;
     const double sva_bc =
         sta.run(SvaCornerScale(netlist, flow.context_library(), versions,
-                               budget, Corner::Best, flow.config().arc_policy,
-                               nullptr, &flow.context_cache()))
+                               budget, Corner::Best, flow.config().arc_policy))
             .critical_delay_ps;
     const double sva_wc =
         sta.run(SvaCornerScale(netlist, flow.context_library(), versions,
-                               budget, Corner::Worst, flow.config().arc_policy,
-                               nullptr, &flow.context_cache()))
+                               budget, Corner::Worst, flow.config().arc_policy))
             .critical_delay_ps;
 
     const double trad_spread = trad_wc - trad_bc;

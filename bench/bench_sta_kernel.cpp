@@ -5,7 +5,9 @@
 //
 // Every compiled wall is only reported after asserting bit-identity with
 // the scalar result on the same scale -- a speedup that changed an answer
-// would be worthless.  Writes BENCH_kernel.json.
+// would be worthless.  A failed identity check is the only failing exit;
+// speedups are printed, never gated, because they depend on the host.
+// Writes BENCH_kernel.json.
 //
 // `--smoke` runs one small circuit once (CI sanitizer leg): compile, one
 // full-graph pass per engine, identity check, no JSON artifact.
@@ -261,10 +263,8 @@ int main(int argc, char** argv) {
   write_text_file("BENCH_kernel.json", json);
   std::printf("wrote BENCH_kernel.json\n");
 
-  if (largest_speedup < 5.0) {
-    std::fprintf(stderr, "largest-circuit speedup %.2fx below 5x target\n",
-                 largest_speedup);
-    return 1;
-  }
+  // The exit status gates only on bit-identity (require_bit_identical
+  // exits 1); the speedup depends on the host and is reported, not gated.
+  std::printf("largest-circuit speedup %.2fx\n", largest_speedup);
   return 0;
 }

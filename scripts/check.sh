@@ -30,13 +30,13 @@ echo "== persistent cache: cold vs warm CLI runs =="
 CLI=./build/src/cli/sva-timing
 cold_out="$("$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --metrics)"
 warm_out="$("$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --metrics)"
-hits="$(echo "$warm_out" | awk '/context_cache\.disk_hits/ {print $2}')"
+hits="$(echo "$warm_out" | awk '/flow\.setup_disk_hits/ {print $2}')"
 if [[ -z "$hits" || "$hits" -le 0 ]]; then
-  echo "FAIL: warm run reported no context-cache disk hits"
+  echo "FAIL: warm run reported no setup-snapshot disk hits"
   echo "$warm_out"
   exit 1
 fi
-echo "warm run restored $hits slots from disk"
+echo "warm run restored the setup snapshot from disk ($hits hit)"
 # Only the wall-time line and the metrics section may differ between the
 # two runs; the analysis table must be bit-identical.
 strip_variance() { sed -e '/circuits, .* threads, .* s)$/d' -e '/^engine metrics:$/,$d'; }
@@ -51,7 +51,7 @@ echo "== fault injection: graceful degradation under --keep-going =="
 # Break the snapshot loads AND every per-cell OPC solve: the run must
 # still complete (exit 0), fall back to the uniform drawn-CD cells, and
 # say so in the diagnostics report.
-degraded_out="$(SVA_FAILPOINTS="context_cache.load=throw,flow.setup_load=throw,opc.cell_solve=throw" \
+degraded_out="$(SVA_FAILPOINTS="flow.setup_load=throw,opc.cell_solve=throw" \
   "$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --diagnostics)" || {
   echo "FAIL: degraded --keep-going run exited non-zero"
   exit 1
@@ -74,7 +74,7 @@ echo "--strict run failed fast as required"
 echo "== fault injection: transient faults leave the tables bit-identical =="
 # Transient/cache-only faults are retried or degrade to a cold start;
 # either way the analysis table must match the untroubled run exactly.
-faulted_out="$(SVA_FAILPOINTS="serialize.read=prob(0.3),context_cache.load=throw,flow.setup_load=throw" \
+faulted_out="$(SVA_FAILPOINTS="serialize.read=prob(0.3),flow.setup_load=throw" \
   "$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --metrics)"
 if ! diff <(echo "$cold_out" | strip_variance) \
           <(echo "$faulted_out" | strip_variance); then

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
@@ -107,6 +108,23 @@ ContextLibrary::ContextLibrary(const CharacterizedLibrary& characterized,
       devices[di] = geo;
     }
   }
+
+  // Characterize every (cell, version) slot exactly once.  The slots count
+  // as "context_cache.misses"; annotate_arcs counts its reads as hits.
+  const std::size_t versions = bins_.version_count();
+  length_offset_.resize(characterized.cells.size());
+  for (std::size_t ci = 0; ci < characterized.cells.size(); ++ci) {
+    length_offset_[ci] = lengths_.size();
+    const std::size_t arcs = characterized.cells[ci].master.arcs().size();
+    for (std::size_t vi = 0; vi < versions; ++vi) {
+      const VersionKey key = version_key(vi, bins_.count());
+      for (std::size_t ai = 0; ai < arcs; ++ai)
+        lengths_.push_back(mean_arc_cd(ci, key, ai));
+    }
+  }
+  MetricsRegistry::global()
+      .counter("context_cache.misses")
+      .add(characterized.cells.size() * versions);
 }
 
 DeviceContext ContextLibrary::device_context(std::size_t cell,
@@ -167,9 +185,16 @@ Nm ContextLibrary::device_printed_cd(std::size_t cell,
 Nm ContextLibrary::arc_effective_length(std::size_t cell,
                                         const VersionKey& version,
                                         std::size_t arc) const {
-  const CellMaster& master = characterized_->cells[cell].master;
-  SVA_REQUIRE(arc < master.arcs().size());
-  const TimingArc& a = master.arcs()[arc];
+  SVA_REQUIRE(cell < length_offset_.size());
+  const std::size_t arcs = characterized_->cells[cell].master.arcs().size();
+  SVA_REQUIRE(arc < arcs);
+  return lengths_[length_offset_[cell] +
+                  version_index(version, bins_.count()) * arcs + arc];
+}
+
+Nm ContextLibrary::mean_arc_cd(std::size_t cell, const VersionKey& version,
+                               std::size_t arc) const {
+  const TimingArc& a = characterized_->cells[cell].master.arcs()[arc];
   double sum = 0.0;
   for (std::size_t di : a.device_indices)
     sum += device_printed_cd(cell, version, di);
@@ -179,9 +204,8 @@ Nm ContextLibrary::arc_effective_length(std::size_t cell,
 double ContextLibrary::arc_delay_scale(std::size_t cell,
                                        const VersionKey& version,
                                        std::size_t arc) const {
-  const CellMaster& master = characterized_->cells[cell].master;
-  return arc_effective_length(cell, version, arc) /
-         master.tech().gate_length;
+  const Nm length = arc_effective_length(cell, version, arc);
+  return length / characterized_->cells[cell].master.tech().gate_length;
 }
 
 std::uint64_t ContextLibrary::content_hash() const {

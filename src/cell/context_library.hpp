@@ -15,6 +15,11 @@
 //
 // The paper uses the *lower* bin extreme as the representative "to be
 // pessimistic in our timing estimates" (dense prints larger -> slower).
+//
+// Every (cell, version, arc) effective length is a pure function of the
+// library, so the constructor computes all of them once into one flat
+// immutable table; arc_effective_length() is a bounds-checked read of it,
+// safe from any number of threads.
 
 #include <array>
 #include <cstdint>
@@ -108,6 +113,7 @@ class ContextLibrary {
 
   /// Effective gate length of an arc = mean printed CD of its devices
   /// (paper: simple averaging; delay varies ~linearly with gate length).
+  /// Read from the table built at construction.
   Nm arc_effective_length(std::size_t cell, const VersionKey& version,
                           std::size_t arc) const;
 
@@ -124,9 +130,8 @@ class ContextLibrary {
   /// structure, the library-OPC printed CDs, and the boundary CD model
   /// (captured by sampling it over the spacing range of interest).  Two
   /// ContextLibrary instances with equal hashes produce bit-identical
-  /// version expansions, so this is the invalidation key of the persistent
-  /// on-disk context cache.  Computed once (the inputs are immutable) and
-  /// memoized; safe to call concurrently.
+  /// version expansions, so ECO checkpoints key on it.  Computed once (the
+  /// inputs are immutable) and memoized; safe to call concurrently.
   std::uint64_t content_hash() const;
 
  private:
@@ -138,6 +143,9 @@ class ContextLibrary {
   };
 
   std::uint64_t compute_content_hash() const;
+  /// Mean printed CD of an arc's devices: the value each table entry holds.
+  Nm mean_arc_cd(std::size_t cell, const VersionKey& version,
+                 std::size_t arc) const;
 
   const CharacterizedLibrary* characterized_;
   mutable std::once_flag hash_once_;
@@ -146,6 +154,10 @@ class ContextLibrary {
   const CdModel* boundary_model_;
   ContextBins bins_;
   std::vector<std::vector<DeviceGeometry>> geometry_;  // [cell][device]
+  /// Effective length of (cell, version, arc) at
+  /// length_offset_[cell] + version_index * arcs(cell) + arc.
+  std::vector<Nm> lengths_;
+  std::vector<std::size_t> length_offset_;  // per cell
 };
 
 }  // namespace sva

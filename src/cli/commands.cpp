@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 #include "cell/liberty_writer.hpp"
 #include "core/flow.hpp"
 #include "engine/thread_pool.hpp"
@@ -29,14 +27,6 @@ namespace sva {
 
 namespace {
 
-// Warm-start / snapshot the persistent context-library cache around a
-// command.  A failed load degrades to a cold run inside try_load; a failed
-// save must not fail the command (the analysis already succeeded), so it
-// only warns.
-void cache_warm_start(const ContextCache& cache, const EngineOptions& opts) {
-  if (opts.cache_enabled()) cache.try_load(opts.cache_dir);
-}
-
 /// Flow configuration with the persistent-cache directory plumbed in, so
 /// SvaFlow construction itself warm-starts (library OPC + pitch table
 /// restored from the setup snapshot).
@@ -45,15 +35,6 @@ FlowConfig flow_config(const EngineOptions& opts) {
   if (opts.cache_enabled()) cfg.cache_dir = opts.cache_dir;
   cfg.fault_policy = opts.fault_policy();
   return cfg;
-}
-
-void cache_snapshot(const ContextCache& cache, const EngineOptions& opts) {
-  if (!opts.cache_enabled()) return;
-  try {
-    cache.save(opts.cache_dir);
-  } catch (const std::exception& e) {
-    log_warn("context cache: snapshot failed (", e.what(), ")");
-  }
 }
 
 /// The checkpoint file a cancelled run journals to: --checkpoint PATH, or
@@ -112,11 +93,9 @@ int cmd_analyze(std::vector<std::string>& args, const EngineOptions& opts) {
   spec.resume_path = opts.resume_path;
   spec.checkpoint_path = checkpoint_path(opts, "sva_analyze.ckpt");
   const SvaFlow flow{flow_config(opts)};
-  cache_warm_start(flow.context_cache(), opts);
   ThreadPool pool(opts.threads);
   const JobResult result =
       run_analyze_job(flow, pool, spec, &global_cancel_token());
-  cache_snapshot(flow.context_cache(), opts);
   return emit_job_result(result);
 }
 
@@ -127,7 +106,6 @@ int cmd_paths(std::vector<std::string>& args, const EngineOptions& opts) {
   for (std::size_t i = 1; i < args.size(); ++i)
     if (args[i] == "-n") k = parse_size_flag("-n", flag_value(args, i));
   const SvaFlow flow{flow_config(opts)};
-  cache_warm_start(flow.context_cache(), opts);
   const Netlist netlist = flow.make_benchmark(name);
   const Placement placement = flow.make_placement(netlist);
   const Sta sta(netlist, flow.characterized(), flow.config().sta);
@@ -135,10 +113,8 @@ int cmd_paths(std::vector<std::string>& args, const EngineOptions& opts) {
   const auto versions = assign_versions(nps, flow.config().bins);
   const SvaCornerScale wc(netlist, flow.context_library(), versions,
                           flow.config().budget, Corner::Worst,
-                          flow.config().arc_policy, &nps,
-                          &flow.context_cache());
+                          flow.config().arc_policy, &nps);
   const StaResult result = sta.run(wc);
-  cache_snapshot(flow.context_cache(), opts);
   const auto paths = worst_paths(netlist, sta, wc, k);
   std::printf("%s: SVA worst-case design delay %.3f ns\n\n", name.c_str(),
               units::ps_to_ns(result.critical_delay_ps));
@@ -218,13 +194,9 @@ int cmd_optimize(std::vector<std::string>& args, const EngineOptions& opts) {
   const SizedLibrary sized(flow.library(), flow.config().electrical,
                            flow.library_opc_results(), flow.boundary_model(),
                            flow.config().bins);
-  // The sized library's expanded context cache hashes differently from the
-  // base flow's, so both snapshots coexist in the same cache directory.
-  cache_warm_start(sized.context_cache(), opts);
   ThreadPool pool(opts.threads);
   const JobResult result =
       run_optimize_job(flow, sized, pool, spec, &global_cancel_token());
-  cache_snapshot(sized.context_cache(), opts);
   return emit_job_result(result);
 }
 
@@ -237,11 +209,9 @@ int cmd_ssta(std::vector<std::string>& args, const EngineOptions& opts) {
                            client_retry(opts));
   }
   const SvaFlow flow{flow_config(opts)};
-  cache_warm_start(flow.context_cache(), opts);
   ThreadPool pool(opts.threads);
   const JobResult result =
       run_ssta_job(flow, pool, spec, &global_cancel_token());
-  cache_snapshot(flow.context_cache(), opts);
   return emit_job_result(result);
 }
 
@@ -360,19 +330,15 @@ int cmd_serve(std::vector<std::string>& args, const EngineOptions& opts) {
                  "serve requires --socket PATH and/or --listen HOST:PORT\n");
     return usage();
   }
-  if (opts.cache_enabled()) cfg.cache_dir = opts.cache_dir;
   // Announce the bound endpoints on stdout: with --listen HOST:0 the
   // kernel picks the port, and scripts discover it from this line.
   cfg.announce = true;
   // Pay the expensive setup exactly once: the flow (library OPC, pitch
-  // table, context cache) stays hot for every job the daemon answers.
+  // table, context table) stays hot for every job the daemon answers.
   const SvaFlow flow{flow_config(opts)};
-  cache_warm_start(flow.context_cache(), opts);
   ThreadPool pool(opts.threads);
   TimingServer server(flow, cfg);
-  const int rc = server.serve(pool, &global_cancel_token());
-  cache_snapshot(flow.context_cache(), opts);
-  return rc;
+  return server.serve(pool, &global_cancel_token());
 }
 
 int cmd_metrics(std::vector<std::string>& args, const EngineOptions& opts) {
@@ -484,12 +450,10 @@ int cmd_bench_file(std::vector<std::string>& args, const EngineOptions& opts) {
   if (args.empty()) return usage();
   const std::string path = args[0];
   const SvaFlow flow{flow_config(opts)};
-  cache_warm_start(flow.context_cache(), opts);
   const Netlist netlist =
       load_bench_file(path, flow.library(), "bench_design");
   const Placement placement = flow.make_placement(netlist);
   const CircuitAnalysis a = flow.analyze(netlist, placement);
-  cache_snapshot(flow.context_cache(), opts);
   std::printf("%s: %zu gates\n", path.c_str(), a.gate_count);
   std::printf("  traditional: %.3f / %.3f / %.3f ns\n",
               units::ps_to_ns(a.trad_nom_ps), units::ps_to_ns(a.trad_bc_ps),

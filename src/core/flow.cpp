@@ -73,7 +73,6 @@ SvaFlow::SvaFlow(const FlowConfig& config)
       config_.cell_tech.radius_of_influence);
   context_ = std::make_unique<ContextLibrary>(
       characterized_, library_opc_, *boundary_model_, config_.bins);
-  context_cache_ = std::make_unique<ContextCache>(*context_);
 }
 
 void SvaFlow::run_setup_solves() {
@@ -314,7 +313,7 @@ CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
   const TraditionalCornerScale trad_wc(l_nom, config_.budget, Corner::Worst);
 
   // In-context corners with the expanded library.  Delay tables come from
-  // the binned versions (memoized in the context cache); device labels use
+  // the binned versions (the context library's table); device labels use
   // the measured spacings.  Annotating once and deriving the three corner
   // factor matrices is exactly what three SvaCornerScale constructions
   // would compute, without re-annotating per corner.
@@ -322,7 +321,7 @@ CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
   const std::vector<VersionKey> versions = assign_versions(nps, config_.bins);
   const std::vector<std::vector<ArcAnnotation>> annotations =
       annotate_arcs(netlist, *context_, versions, config_.budget,
-                    config_.arc_policy, 0.0, &nps, context_cache_.get());
+                    config_.arc_policy, 0.0, &nps);
   const MatrixScale sva_nom(
       corner_factors(netlist, annotations, config_.budget, Corner::Nominal));
   const MatrixScale sva_bc(

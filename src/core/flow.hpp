@@ -8,7 +8,9 @@
 //      per-device printed-CD measurement (Sec. 3.1.1);
 //   4. post-OPC pitch->CD characterization of the test gratings and the
 //      boundary-device lookup table (Sec. 3.3);
-//   5. expansion into the 81-version context library (Sec. 3.1.2).
+//   5. expansion into the 81-version context library (Sec. 3.1.2): every
+//      (cell, version, arc) effective length is computed once here, into
+//      the ContextLibrary's immutable table that all analyses share.
 //
 // analyze() then runs, for one benchmark circuit: placement, nps
 // extraction and version binding (Sec. 3.1.3), traditional corner STA,
@@ -38,7 +40,6 @@
 #include "core/budget.hpp"
 #include "core/classify.hpp"
 #include "core/scales.hpp"
-#include "engine/context_cache.hpp"
 #include "litho/cd_model.hpp"
 #include "netlist/iscas85.hpp"
 #include "opc/engine.hpp"
@@ -142,21 +143,6 @@ class SvaFlow {
   }
   const TableCdModel& boundary_model() const { return *boundary_model_; }
   const ContextLibrary& context_library() const { return *context_; }
-  /// Memoized view of the context library: (cell, version) slots are
-  /// characterized once, lazily, and shared by all analyses (and all
-  /// threads) running against this flow.
-  const ContextCache& context_cache() const { return *context_cache_; }
-
-  /// Warm-start the context cache from / snapshot it to a persistent
-  /// cache directory (see engine/context_cache.hpp for the format and the
-  /// corruption policy).  Thin forwarders so every flow consumer -- CLI
-  /// commands, benches, tests -- shares one call site idiom.
-  bool try_load_context_cache(const std::string& dir) const {
-    return context_cache_->try_load(dir);
-  }
-  std::size_t save_context_cache(const std::string& dir) const {
-    return context_cache_->save(dir);
-  }
 
   /// Wall-clock seconds spent on library OPC + pitch characterization
   /// during construction (Table 1's "Library OPC Runtime"), measured
@@ -226,7 +212,6 @@ class SvaFlow {
   std::vector<PostOpcPitchPoint> pitch_points_;
   std::unique_ptr<TableCdModel> boundary_model_;
   std::unique_ptr<ContextLibrary> context_;
-  std::unique_ptr<ContextCache> context_cache_;
   double setup_opc_seconds_ = 0.0;
   bool setup_from_cache_ = false;
   bool setup_degraded_ = false;

@@ -1,6 +1,7 @@
 #include "core/scales.hpp"
 
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 
@@ -29,7 +30,7 @@ TraditionalCornerScale::TraditionalCornerScale(Nm l_nom,
 std::vector<ArcAnnotation> annotate_gate_arcs(
     const Netlist& netlist, std::size_t gate, const ContextLibrary& context,
     const VersionKey& version, const CdBudget& budget, ArcLabelPolicy policy,
-    Nm spacing_shift, const InstanceNps* nps, const ContextCache* cache) {
+    Nm spacing_shift, const InstanceNps* nps) {
   SVA_REQUIRE(gate < netlist.gates().size());
   const std::size_t ci = netlist.gates()[gate].cell_index;
   const CellMaster& master = netlist.library().master(ci);
@@ -39,9 +40,7 @@ std::vector<ArcAnnotation> annotate_gate_arcs(
   std::vector<ArcAnnotation> out(master.arcs().size());
   for (std::size_t ai = 0; ai < master.arcs().size(); ++ai) {
     ArcAnnotation ann;
-    ann.l_nom_new = cache != nullptr
-                        ? cache->arc_effective_length(ci, version, ai)
-                        : context.arc_effective_length(ci, version, ai);
+    ann.l_nom_new = context.arc_effective_length(ci, version, ai);
 
     std::vector<DeviceClass> classes;
     classes.reserve(master.arcs()[ai].device_indices.size());
@@ -69,17 +68,22 @@ std::vector<std::vector<ArcAnnotation>> annotate_arcs(
     const Netlist& netlist, const ContextLibrary& context,
     const std::vector<VersionKey>& versions, const CdBudget& budget,
     ArcLabelPolicy policy, Nm spacing_shift,
-    const std::vector<InstanceNps>* measured_nps,
-    const ContextCache* cache) {
+    const std::vector<InstanceNps>* measured_nps) {
   SVA_REQUIRE(measured_nps == nullptr ||
               measured_nps->size() == netlist.gates().size());
   SVA_REQUIRE(versions.size() == netlist.gates().size());
 
   std::vector<std::vector<ArcAnnotation>> out(netlist.gates().size());
-  for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi)
+  std::uint64_t arcs = 0;
+  for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi) {
     out[gi] = annotate_gate_arcs(
         netlist, gi, context, versions[gi], budget, policy, spacing_shift,
-        measured_nps != nullptr ? &(*measured_nps)[gi] : nullptr, cache);
+        measured_nps != nullptr ? &(*measured_nps)[gi] : nullptr);
+    arcs += out[gi].size();
+  }
+  static Counter& hits =
+      MetricsRegistry::global().counter("context_cache.hits");
+  hits.add(arcs);
   return out;
 }
 
@@ -114,10 +118,9 @@ SvaCornerScale::SvaCornerScale(const Netlist& netlist,
                                const std::vector<VersionKey>& versions,
                                const CdBudget& budget, Corner corner,
                                ArcLabelPolicy policy,
-                               const std::vector<InstanceNps>* measured_nps,
-                               const ContextCache* cache)
+                               const std::vector<InstanceNps>* measured_nps)
     : annotations_(annotate_arcs(netlist, context, versions, budget, policy,
-                                 0.0, measured_nps, cache)),
+                                 0.0, measured_nps)),
       factors_(corner_factors(netlist, annotations_, budget, corner)) {}
 
 double SvaCornerScale::scale(std::size_t gate, std::size_t arc_index) const {

@@ -15,7 +15,6 @@
 #include "core/budget.hpp"
 #include "core/classify.hpp"
 #include "core/corners.hpp"
-#include "engine/context_cache.hpp"
 #include "netlist/netlist.hpp"
 #include "place/context.hpp"
 #include "sta/scale.hpp"
@@ -50,8 +49,7 @@ class SvaCornerScale final : public ArcScaleProvider {
                  const std::vector<VersionKey>& versions,
                  const CdBudget& budget, Corner corner,
                  ArcLabelPolicy policy = ArcLabelPolicy::Majority,
-                 const std::vector<InstanceNps>* measured_nps = nullptr,
-                 const ContextCache* cache = nullptr);
+                 const std::vector<InstanceNps>* measured_nps = nullptr);
 
   double scale(std::size_t gate, std::size_t arc_index) const override;
 
@@ -71,7 +69,8 @@ class SvaCornerScale final : public ArcScaleProvider {
 /// statistical samplers, and the exposure analysis).
 ///
 /// Effective lengths (the 81-version delay tables) always come from the
-/// binned versions; device *classification* uses the measured nps values
+/// binned versions, read from the context library's table; device
+/// *classification* uses the measured nps values
 /// when `measured_nps` is provided (the paper labels devices from the
 /// physical layout, Sec. 3.2), falling back to the bin representatives
 /// otherwise.
@@ -81,15 +80,13 @@ class SvaCornerScale final : public ArcScaleProvider {
 /// shrinking or growing the clear spacings between them (Sec. 6: "Exposure
 /// variation can alter the nature of devices (i.e. dense or isolated)").
 ///
-/// When `cache` is given, effective lengths come from the memoized
-/// (cell, version) slots instead of re-deriving them per instance --
-/// bit-identical values, characterized once and shared across threads.
+/// Each call adds the number of arcs it read to the "context_cache.hits"
+/// counter.
 std::vector<std::vector<ArcAnnotation>> annotate_arcs(
     const Netlist& netlist, const ContextLibrary& context,
     const std::vector<VersionKey>& versions, const CdBudget& budget,
     ArcLabelPolicy policy, Nm spacing_shift = 0.0,
-    const std::vector<InstanceNps>* measured_nps = nullptr,
-    const ContextCache* cache = nullptr);
+    const std::vector<InstanceNps>* measured_nps = nullptr);
 
 /// Annotate the arcs of a single gate (the per-gate body of
 /// annotate_arcs).  ECO candidate evaluation re-annotates just the
@@ -98,8 +95,7 @@ std::vector<std::vector<ArcAnnotation>> annotate_arcs(
 std::vector<ArcAnnotation> annotate_gate_arcs(
     const Netlist& netlist, std::size_t gate, const ContextLibrary& context,
     const VersionKey& version, const CdBudget& budget, ArcLabelPolicy policy,
-    Nm spacing_shift = 0.0, const InstanceNps* nps = nullptr,
-    const ContextCache* cache = nullptr);
+    Nm spacing_shift = 0.0, const InstanceNps* nps = nullptr);
 
 /// Delay factors per (gate, arc) for one corner from annotations.
 std::vector<std::vector<double>> corner_factors(

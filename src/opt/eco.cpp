@@ -67,8 +67,7 @@ std::vector<double> EcoOptimizer::committed_row(std::size_t gate) const {
   }
   const auto annotations = annotate_gate_arcs(
       netlist_, gate, sized_->context_library(), versions_[gate],
-      config_.budget, config_.arc_policy, 0.0, &nps_[gate],
-      &sized_->context_cache());
+      config_.budget, config_.arc_policy, 0.0, &nps_[gate]);
   return gate_corner_factors(netlist_, gate, annotations, config_.budget,
                              Corner::Worst);
 }
@@ -142,8 +141,7 @@ void EcoOptimizer::evaluate(const Move& move, Evaluation& out) const {
         const VersionKey version = nps_to_version(u.nps, bins);
         const auto annotations = annotate_gate_arcs(
             netlist_, u.gate, sized_->context_library(), version,
-            config_.budget, config_.arc_policy, 0.0, &u.nps,
-            &sized_->context_cache());
+            config_.budget, config_.arc_policy, 0.0, &u.nps);
         auto row = gate_corner_factors(netlist_, u.gate, annotations,
                                        config_.budget, Corner::Worst);
         if (row != factors_[u.gate]) changed.push_back(u.gate);

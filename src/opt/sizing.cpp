@@ -65,7 +65,6 @@ SizedLibrary::SizedLibrary(const CellLibrary& base,
   characterized_ = characterize_library(*library_, electrical);
   context_ = std::make_unique<ContextLibrary>(characterized_, std::move(opc),
                                               boundary_model, bins);
-  cache_ = std::make_unique<ContextCache>(*context_);
 }
 
 std::size_t SizedLibrary::base_of(std::size_t cell) const {

@@ -26,7 +26,6 @@
 #include "cell/context_library.hpp"
 #include "cell/library.hpp"
 #include "cell/library_opc.hpp"
-#include "engine/context_cache.hpp"
 #include "litho/cd_model.hpp"
 
 namespace sva {
@@ -56,7 +55,6 @@ class SizedLibrary {
   const CellLibrary& library() const { return *library_; }
   const CharacterizedLibrary& characterized() const { return characterized_; }
   const ContextLibrary& context_library() const { return *context_; }
-  const ContextCache& context_cache() const { return *cache_; }
 
   std::size_t base_count() const { return base_count_; }
   const std::vector<double>& multipliers() const { return multipliers_; }
@@ -82,7 +80,6 @@ class SizedLibrary {
   std::unique_ptr<CellLibrary> library_;
   CharacterizedLibrary characterized_;
   std::unique_ptr<ContextLibrary> context_;
-  std::unique_ptr<ContextCache> cache_;
   std::vector<std::size_t> base_of_;               // per expanded cell
   std::vector<std::size_t> rung_of_;               // per expanded cell
   std::vector<std::vector<std::size_t>> ladder_;   // [base][rung] -> cell

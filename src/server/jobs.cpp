@@ -191,7 +191,7 @@ JobResult run_ssta_job(const SvaFlow& flow, ThreadPool& /*pool*/,
     model.global_share = spec.global_share;
     const SstaEngine engine(netlist, flow.characterized(),
                             flow.context_library(), versions, model,
-                            flow.config().sta, &flow.context_cache());
+                            flow.config().sta);
     const SstaResult ssta = engine.run(cancel);
     const CriticalityResult crit = compute_criticality(netlist, ssta);
 

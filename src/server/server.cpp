@@ -88,8 +88,6 @@ const SizedLibrary& TimingServer::ensure_sized() {
     sized_ = std::make_unique<SizedLibrary>(
         flow_.library(), flow_.config().electrical, flow_.library_opc_results(),
         flow_.boundary_model(), flow_.config().bins);
-    if (!config_.cache_dir.empty())
-      sized_->context_cache().try_load(config_.cache_dir);
   });
   return *sized_;
 }
@@ -230,15 +228,6 @@ int TimingServer::serve(ThreadPool& pool, const CancelToken* stop) {
   lanes_.close_and_drain();
   reap_handlers(true);
   if (!config_.socket_path.empty()) ::unlink(config_.socket_path.c_str());
-  // The lazily built sized library accumulated characterizations worth
-  // persisting; a failed snapshot must not fail the drain.
-  if (sized_ != nullptr && !config_.cache_dir.empty()) {
-    try {
-      sized_->context_cache().save(config_.cache_dir);
-    } catch (const std::exception& e) {
-      log_warn("server: sized-library cache snapshot failed (", e.what(), ")");
-    }
-  }
   log_info("sva serve: drained and stopped");
   return 0;
 }

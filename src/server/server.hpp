@@ -91,10 +91,6 @@ struct ServerConfig {
   std::size_t max_conns = 64;
   /// Per-connection IO budgets (slow-client defense); see ConnLimits.
   ConnLimits conn_limits;
-  /// Persistent cache directory for the lazily built SizedLibrary's
-  /// context cache (empty disables; the flow's own cache is the
-  /// caller's business).
-  std::string cache_dir;
   /// Executor lanes; 0 sizes from the hardware (capped, >= 1).
   std::size_t lanes = 0;
   /// Result-cache entries for clean analyze/ssta results; 0 disables

@@ -20,13 +20,11 @@ constexpr double kFocusMean = 1.0 / 3.0;
 
 std::vector<std::vector<CanonicalDelay>> build_factors(
     const Netlist& netlist, const ContextLibrary& context,
-    const std::vector<VersionKey>& versions, const SstaVariationModel& model,
-    const ContextCache* cache) {
+    const std::vector<VersionKey>& versions, const SstaVariationModel& model) {
   model.budget.validate();
   SVA_REQUIRE(model.global_share >= 0.0 && model.global_share <= 1.0);
   const std::vector<std::vector<ArcAnnotation>> annotations = annotate_arcs(
-      netlist, context, versions, model.budget, model.policy, 0.0, nullptr,
-      cache);
+      netlist, context, versions, model.budget, model.policy);
 
   const Nm l_nom = netlist.library().master(0).tech().gate_length;
   const Nm lvar_focus = model.budget.lvar_focus(l_nom);
@@ -83,11 +81,11 @@ SstaEngine::SstaEngine(const Netlist& netlist,
                        const ContextLibrary& context,
                        const std::vector<VersionKey>& versions,
                        const SstaVariationModel& model,
-                       const StaConfig& config, const ContextCache* cache)
+                       const StaConfig& config)
     : netlist_(&netlist),
       library_(&library),
       config_(config),
-      factors_(build_factors(netlist, context, versions, model, cache)),
+      factors_(build_factors(netlist, context, versions, model)),
       sta_(netlist, library, config),
       base_(sta_.run(MatrixScale(mean_factor_matrix(factors_)))) {
   // Residual index space: one slot per (gate, master-arc) CD residual,

@@ -30,7 +30,6 @@
 #include "cell/context_library.hpp"
 #include "core/budget.hpp"
 #include "core/classify.hpp"
-#include "engine/context_cache.hpp"
 #include "netlist/netlist.hpp"
 #include "ssta/canonical.hpp"
 #include "ssta/sparse.hpp"
@@ -81,13 +80,11 @@ struct SstaResult {
 /// Block-based SSTA engine over the same levelized graph Sta uses.
 class SstaEngine {
  public:
-  /// All references must outlive the engine.  `cache`, when given, memoizes
-  /// the (cell, version) effective lengths exactly like the corner flow.
+  /// All references must outlive the engine.
   SstaEngine(const Netlist& netlist, const CharacterizedLibrary& library,
              const ContextLibrary& context,
              const std::vector<VersionKey>& versions,
-             const SstaVariationModel& model, const StaConfig& config = {},
-             const ContextCache* cache = nullptr);
+             const SstaVariationModel& model, const StaConfig& config = {});
 
   /// Propagation in topological order.  `cancel`, when given, is polled
   /// before every gate.

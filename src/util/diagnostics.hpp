@@ -32,7 +32,7 @@ const char* severity_label(DiagSeverity severity);  ///< "info"/"warning"/"error
 
 struct Diagnostic {
   DiagSeverity severity = DiagSeverity::Info;
-  std::string component;  ///< subsystem: "batch", "opc", "context_cache", ...
+  std::string component;  ///< subsystem: "batch", "opc", "flow", ...
   std::string code;       ///< stable machine-readable code (DESIGN.md §10)
   std::string message;    ///< human detail (circuit name, path, cause)
 };

@@ -187,8 +187,6 @@ const std::vector<std::string>& FailPoints::catalogue() {
       "serialize.read",      // read_file_bytes (cache file reads)
       "serialize.write",     // atomic_write_file payload (supports corrupt)
       "serialize.rename",    // atomic_write_file temp->target rename
-      "context_cache.load",  // ContextCache::try_load validation
-      "context_cache.save",  // ContextCache::save
       "flow.setup_load",     // SvaFlow setup snapshot validation
       "opc.cell_solve",      // per-cell library OPC (keyed by cell name)
       "engine.task",         // thread-pool task execution

@@ -1,14 +1,15 @@
 #pragma once
 // Versioned little-endian binary codec + FNV-1a content hashing.
 //
-// This is the foundation of the persistent on-disk context-library cache:
-// characterized tables are snapshotted once and reloaded warm by later CLI
-// runs, test binaries, and benches.  Byte order is fixed little-endian
-// regardless of host, so cache files and the golden byte sequences in the
-// tests are platform-stable.  ByteReader treats every malformed input --
-// truncation, overlong counts, non-increasing axes -- as SerializeError,
-// never undefined behaviour: callers (ContextCache::try_load) catch it and
-// fall back to cold characterization.
+// This is the foundation of the persistent setup snapshot and the
+// checkpoint journals: the flow's library-OPC and pitch products are
+// snapshotted once and reloaded warm by later CLI runs, test binaries, and
+// benches.  Byte order is fixed little-endian regardless of host, so cache
+// files and the golden byte sequences in the tests are platform-stable.
+// ByteReader treats every malformed input -- truncation, overlong counts,
+// non-increasing axes -- as SerializeError, never undefined behaviour:
+// callers (SvaFlow's setup load) catch it and fall back to cold
+// characterization.
 //
 // Codecs for cell-layer types that util cannot depend on (NldmTable) live
 // with their type (cell/nldm.hpp) and compose these primitives.

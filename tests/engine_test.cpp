@@ -1,31 +1,29 @@
 // Execution-engine tests: thread pool semantics (the parallel_for claim
 // loop), bit-exactness of STA run concurrently on the pool's lanes,
 // schedule-independence, claim order and timer accounting of the batch
-// runner, and coherence of the memoized context cache under
-// concurrent access.
+// runner, and the context library's dense table against the device CDs it
+// is built from.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/flow.hpp"
 #include "engine/batch.hpp"
-#include "engine/context_cache.hpp"
 #include "engine/options.hpp"
 #include "engine/thread_pool.hpp"
 #include "netlist/iscas85.hpp"
+#include "opt/sizing.hpp"
 #include "place/context.hpp"
 #include "server/jobs.hpp"
 #include "util/diagnostics.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
-#include "util/serialize.hpp"
 
 namespace sva {
 namespace {
@@ -142,8 +140,7 @@ TEST(EngineStaTest, ParallelStaBitIdenticalToSerial) {
     const auto versions = assign_versions(nps, flow.config().bins);
     const SvaCornerScale wc(netlist, flow.context_library(), versions,
                             flow.config().budget, Corner::Worst,
-                            flow.config().arc_policy, &nps,
-                            &flow.context_cache());
+                            flow.config().arc_policy, &nps);
     const StaResult serial = sta.run(wc);
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
@@ -283,214 +280,66 @@ TEST(EngineBatchTest, AnalyzeTimerCountsOnlyItsOwnJob) {
   }
 }
 
-TEST(ContextCacheTest, MatchesEagerExpansionUnderConcurrentAccess) {
-  const SvaFlow& flow = shared_flow();
-  const ContextLibrary& library = flow.context_library();
-  const std::size_t cells = library.characterized().cells.size();
-  const std::size_t versions = library.bins().version_count();
+/// Every (cell, version, arc) entry of `library`'s table against the mean
+/// printed CD of the arc's devices, bit for bit.
+void expect_table_matches_printed_cd_mean(const ContextLibrary& library,
+                                          const char* what) {
   const std::size_t bins = library.bins().count();
-
-  // Eager expansion: every (cell, version, arc) scale straight from the
-  // context library.
-  std::vector<std::vector<std::vector<double>>> eager(cells);
-  for (std::size_t ci = 0; ci < cells; ++ci) {
-    const std::size_t arcs =
-        library.characterized().cells[ci].master.arcs().size();
-    eager[ci].resize(versions);
-    for (std::size_t vi = 0; vi < versions; ++vi) {
-      const VersionKey key = version_key(vi, bins);
-      for (std::size_t ai = 0; ai < arcs; ++ai)
-        eager[ci][vi].push_back(library.arc_delay_scale(ci, key, ai));
-    }
-  }
-
-  // Fresh cache hammered from 4 threads, several passes over every slot,
-  // so first touches race and later passes must hit.
-  const ContextCache cache(library);
-  ThreadPool pool(4);
-  constexpr std::size_t kPasses = 4;
-  pool.parallel_for(0, versions * kPasses, [&](std::size_t i) {
-    const std::size_t vi = i % versions;
-    const VersionKey key = version_key(vi, bins);
-    for (std::size_t ci = 0; ci < cells; ++ci)
-      for (std::size_t ai = 0; ai < eager[ci][vi].size(); ++ai)
-        ASSERT_EQ(cache.arc_delay_scale(ci, key, ai), eager[ci][vi][ai]);
-  });
-
-  const ContextCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.capacity, cells * versions);
-  // Every slot characterized exactly once, no matter how many threads
-  // raced to it...
-  EXPECT_EQ(stats.characterized, cells * versions);
-  EXPECT_EQ(stats.misses, cells * versions);
-  // ...and all remaining lookups were served from the memo.
-  EXPECT_GT(stats.hits, stats.misses);
-}
-
-TEST(ContextCacheTest, FlowCacheIsSharedAcrossAnalyses) {
-  const SvaFlow& flow = shared_flow();
-  const ContextCache::Stats before = flow.context_cache().stats();
-  ThreadPool pool(2);
-  const BatchRunner runner(flow, pool);
-  runner.run_names({"C432", "C432"});
-  const ContextCache::Stats after = flow.context_cache().stats();
-  EXPECT_GT(after.hits, before.hits);
-  // The version universe is bounded: repeated analyses cannot add slots
-  // beyond capacity.
-  EXPECT_LE(after.characterized, after.capacity);
-}
-
-// ------------------------------------------------- persistent snapshot
-
-/// Fresh per-test cache directory under the gtest temp dir.
-std::string persist_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "sva_cache_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(ContextCachePersistTest, SaveLoadRoundTripIsBitIdentical) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::size_t bins = library.bins().count();
-  const std::string dir = persist_dir("roundtrip");
-
-  const ContextCache cold(library);
-  cold.warm_all();
-  const std::size_t saved = cold.save(dir);
-  EXPECT_EQ(saved, cold.stats().capacity);
-
-  const ContextCache warm(library);
-  ASSERT_TRUE(warm.try_load(dir));
-  const ContextCache::Stats stats = warm.stats();
-  EXPECT_EQ(stats.disk_hits, stats.capacity);
-  EXPECT_EQ(stats.disk_misses, 0u);
-  EXPECT_EQ(stats.characterized, stats.capacity);
-  // Restoring is not a (re)characterization miss.
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_GT(stats.load_ns, 0u);
-  EXPECT_GT(cold.stats().save_ns, 0u);
-
-  // Every slot value and derived scale must match the cold cache exactly.
-  const std::size_t cells = library.characterized().cells.size();
-  for (std::size_t ci = 0; ci < cells; ++ci) {
-    const std::size_t arcs =
-        library.characterized().cells[ci].master.arcs().size();
+  const std::vector<CharacterizedCell>& cells = library.characterized().cells;
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    const CellMaster& master = cells[ci].master;
     for (std::size_t vi = 0; vi < library.bins().version_count(); ++vi) {
       const VersionKey key = version_key(vi, bins);
-      ASSERT_EQ(warm.version_lengths(ci, key), cold.version_lengths(ci, key));
-      for (std::size_t ai = 0; ai < arcs; ++ai)
-        ASSERT_EQ(warm.arc_delay_scale(ci, key, ai),
-                  cold.arc_delay_scale(ci, key, ai));
+      for (std::size_t ai = 0; ai < master.arcs().size(); ++ai) {
+        const std::vector<std::size_t>& devices =
+            master.arcs()[ai].device_indices;
+        double sum = 0.0;
+        for (std::size_t di : devices)
+          sum += library.device_printed_cd(ci, key, di);
+        const Nm mean = sum / static_cast<double>(devices.size());
+        ASSERT_EQ(library.arc_effective_length(ci, key, ai), mean)
+            << what << " cell " << ci << " version " << vi << " arc " << ai;
+        ASSERT_EQ(library.arc_delay_scale(ci, key, ai),
+                  mean / master.tech().gate_length)
+            << what;
+      }
     }
   }
 }
 
-TEST(ContextCachePersistTest, PartialSnapshotRestoresOnlyFilledSlots) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::size_t bins = library.bins().count();
-  const std::string dir = persist_dir("partial");
+TEST(ContextLibraryTest, TableMatchesDevicePrintedCdMeanBitwise) {
+  const SvaFlow& flow = shared_flow();
+  expect_table_matches_printed_cd_mean(flow.context_library(), "3 bins");
 
-  const ContextCache partial(library);
-  constexpr std::size_t kFilled = 5;
-  for (std::size_t vi = 0; vi < kFilled; ++vi)
-    partial.version_lengths(0, version_key(vi, bins));
-  EXPECT_EQ(partial.save(dir), kFilled);
-
-  const ContextCache warm(library);
-  ASSERT_TRUE(warm.try_load(dir));
-  EXPECT_EQ(warm.stats().disk_hits, kFilled);
-  EXPECT_EQ(warm.stats().characterized, kFilled);
-
-  // A restored slot is a hit; an unrestored one characterizes on demand.
-  warm.version_lengths(0, version_key(0, bins));
-  EXPECT_EQ(warm.stats().misses, 0u);
-  warm.version_lengths(0, version_key(kFilled, bins));
-  EXPECT_EQ(warm.stats().misses, 1u);
-}
-
-TEST(ContextCachePersistTest, LoadIntoWarmCacheKeepsComputedValues) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::size_t bins = library.bins().count();
-  const std::string dir = persist_dir("overlay");
-
-  {
-    const ContextCache seed(library);
-    seed.warm_all();
-    seed.save(dir);
-  }
-  const ContextCache cache(library);
-  const std::vector<Nm> before =
-      cache.version_lengths(0, version_key(0, bins));
-  ASSERT_TRUE(cache.try_load(dir));
-  // The already-computed slot was not overwritten (it was not a disk hit),
-  // and its value is unchanged.
-  EXPECT_EQ(cache.stats().disk_hits, cache.stats().capacity - 1);
-  EXPECT_EQ(cache.version_lengths(0, version_key(0, bins)), before);
-}
-
-TEST(ContextCachePersistTest, RejectsMangledSnapshots) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::size_t bins = library.bins().count();
-  const std::string dir = persist_dir("mangle");
-
-  const ContextCache seed(library);
-  seed.warm_all();
-  seed.save(dir);
-  const std::string path = seed.cache_file_path(dir);
-  const std::string good = read_file_bytes(path);
-
-  const auto write_raw = [&](const std::string& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
-  const auto flipped = [&](std::size_t offset) {
-    std::string bad = good;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x5a);
-    return bad;
-  };
-
-  struct Case {
-    const char* what;
-    std::string bytes;
-  };
-  const std::vector<Case> cases = {
-      {"flipped magic", flipped(0)},
-      {"flipped format version", flipped(4)},
-      {"flipped content hash", flipped(8)},
-      {"flipped header grid", flipped(17)},
-      {"flipped payload byte", flipped(good.size() - 3)},
-      {"truncated header", good.substr(0, 10)},
-      {"truncated payload", good.substr(0, good.size() / 2)},
-      {"empty file", std::string{}},
-      {"garbage", std::string(200, '\x42')},
-  };
-  for (const Case& c : cases) {
-    write_raw(c.bytes);
-    const ContextCache cache(library);
-    EXPECT_FALSE(cache.try_load(dir)) << c.what;
-    const ContextCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.disk_hits, 0u) << c.what;
-    EXPECT_EQ(stats.disk_misses, 1u) << c.what;
-    // No slot was poisoned: a cold query still matches the library.
-    EXPECT_EQ(stats.characterized, 0u) << c.what;
-    EXPECT_EQ(cache.arc_effective_length(0, version_key(0, bins), 0),
-              library.arc_effective_length(0, version_key(0, bins), 0))
-        << c.what;
+  // The 2- and 5-bin schemes of the bin-count ablation.
+  const ContextBins two({600.0}, {300.0, 600.0});
+  const ContextBins five({350.0, 450.0, 550.0, 600.0},
+                         {300.0, 350.0, 450.0, 550.0, 600.0});
+  for (const auto& [bins, what] :
+       {std::pair{two, "2 bins"}, std::pair{five, "5 bins"}}) {
+    const ContextLibrary library(flow.characterized(),
+                                 flow.library_opc_results(),
+                                 flow.boundary_model(), bins);
+    expect_table_matches_printed_cd_mean(library, what);
   }
 
-  // The pristine bytes still load, so the rejections above were caused by
-  // the mangling alone.
-  write_raw(good);
-  const ContextCache cache(library);
-  EXPECT_TRUE(cache.try_load(dir));
+  const SizedLibrary sized(flow.library(), flow.config().electrical,
+                           flow.library_opc_results(), flow.boundary_model(),
+                           flow.config().bins);
+  expect_table_matches_printed_cd_mean(sized.context_library(), "sized");
 }
 
-TEST(ContextCachePersistTest, MissingSnapshotIsACleanColdStart) {
+TEST(ContextLibraryTest, TableReadsAreBoundsChecked) {
   const ContextLibrary& library = shared_flow().context_library();
-  const ContextCache cache(library);
-  EXPECT_FALSE(cache.try_load(persist_dir("missing")));
-  EXPECT_EQ(cache.stats().disk_misses, 1u);
-  EXPECT_EQ(cache.stats().characterized, 0u);
+  const std::size_t cells = library.characterized().cells.size();
+  const std::size_t arcs =
+      library.characterized().cells[0].master.arcs().size();
+  const VersionKey ok{};
+  EXPECT_THROW(library.arc_effective_length(cells, ok, 0), PreconditionError);
+  EXPECT_THROW(library.arc_effective_length(0, ok, arcs), PreconditionError);
+  const VersionKey bad{0, 0, 0, static_cast<std::uint8_t>(
+                                    library.bins().count())};
+  EXPECT_THROW(library.arc_effective_length(0, bad, 0), PreconditionError);
 }
 
 TEST(EngineOptionsTest, DefaultsWhenNoFlagsPresent) {

@@ -145,18 +145,14 @@ TEST(FlowCache, WarmStartIsBitIdenticalToCold) {
   FlowConfig config;
   config.cache_dir = dir;
 
-  // Cold run: computes the setup products and snapshots them (plus the
-  // context-cache slots it touches).
+  // Cold run: computes the setup products and snapshots them.
   const SvaFlow cold{config};
   EXPECT_FALSE(cold.setup_from_cache());
   const CircuitAnalysis a = cold.analyze_benchmark("C432");
-  cold.save_context_cache(dir);
 
-  // Warm run: everything restored from disk.
+  // Warm run: the setup products restored from disk.
   const SvaFlow warm{config};
   EXPECT_TRUE(warm.setup_from_cache());
-  EXPECT_TRUE(warm.try_load_context_cache(dir));
-  EXPECT_GT(warm.context_cache().stats().disk_hits, 0u);
 
   // The restored products are the exact bytes the cold run computed...
   ASSERT_EQ(warm.library_opc_results().size(),

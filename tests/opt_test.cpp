@@ -214,8 +214,7 @@ double recompute_worst_slack(const EcoOptimizer& opt) {
       assign_versions(nps, sized().context_library().bins());
   const SvaCornerScale wc(opt.netlist(), sized().context_library(), versions,
                           opt.config().budget, Corner::Worst,
-                          opt.config().arc_policy, &nps,
-                          &sized().context_cache());
+                          opt.config().arc_policy, &nps);
   const Sta sta(opt.netlist(), sized().characterized(), opt.config().sta);
   return opt.config().clock_period_ps - sta.run(wc).critical_delay_ps;
 }
@@ -334,8 +333,7 @@ TEST(Eco, RespaceOnlyLadderCommitsRespacesExactly) {
       assign_versions(nps, unsizable.context_library().bins());
   const SvaCornerScale wc(opt.netlist(), unsizable.context_library(),
                           versions, cfg.budget, Corner::Worst,
-                          cfg.arc_policy, &nps,
-                          &unsizable.context_cache());
+                          cfg.arc_policy, &nps);
   const Sta sta(opt.netlist(), unsizable.characterized(), cfg.sta);
   EXPECT_DOUBLE_EQ(opt.worst_slack_ps(),
                    opt.config().clock_period_ps -

@@ -23,7 +23,6 @@
 #include "cell/library_opc.hpp"
 #include "core/flow.hpp"
 #include "engine/batch.hpp"
-#include "engine/context_cache.hpp"
 #include "engine/options.hpp"
 #include "engine/thread_pool.hpp"
 #include "util/cache_gc.hpp"
@@ -229,7 +228,7 @@ TEST_F(FailPointTest, CatalogueListsEveryWiredSite) {
   const std::vector<std::string>& sites = FailPoints::catalogue();
   for (const char* expected :
        {"serialize.read", "serialize.write", "serialize.rename",
-        "context_cache.load", "context_cache.save", "flow.setup_load",
+        "flow.setup_load",
         "opc.cell_solve", "engine.task", "batch.job", "checkpoint.write",
         "cache.lock"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
@@ -263,10 +262,10 @@ TEST_F(DiagnosticsTest, ReportCountsAndSnapshots) {
 TEST_F(DiagnosticsTest, RenderListsEntriesAndSummary) {
   Diagnostics& diag = Diagnostics::global();
   EXPECT_TRUE(diag.render().empty());
-  diag_warn("context_cache", "cache_quarantined", "snapshot x quarantined");
+  diag_warn("flow", "setup_quarantined", "snapshot x quarantined");
   const std::string report = diag.render();
-  EXPECT_NE(report.find("cache_quarantined"), std::string::npos);
-  EXPECT_NE(report.find("context_cache"), std::string::npos);
+  EXPECT_NE(report.find("setup_quarantined"), std::string::npos);
+  EXPECT_NE(report.find("flow"), std::string::npos);
   EXPECT_NE(report.find("1 warning"), std::string::npos);
 
   diag.reset();
@@ -364,83 +363,111 @@ TEST_F(RetryTest, InjectedFaultsAreRetriable) {
 }
 
 // ----------------------------------------- quarantine & cache degradation
+//
+// The setup snapshot (setup_*.svac) is the one persistent cache: every
+// fault on its load or save degrades to a cold construction that still
+// succeeds.
 
 using CacheFaultTest = RobustnessTest;
 
+/// Flow configuration persisting its setup snapshot in `dir`.
+FlowConfig cached_config(const std::string& dir) {
+  FlowConfig cfg;
+  cfg.cache_dir = dir;
+  return cfg;
+}
+
+/// The setup snapshot the default configuration reads and writes in `dir`.
+std::string setup_snapshot_path(const std::string& dir) {
+  return shared_flow().setup_cache_file_path(dir);
+}
+
+/// Fresh directory holding a healthy setup snapshot (written once by a
+/// fault-free cold construction, then copied).
+std::string seeded_dir(const std::string& name) {
+  static const std::string seed = [] {
+    const std::string dir = fresh_dir("setup_seed");
+    const SvaFlow flow(cached_config(dir));
+    return dir;
+  }();
+  const std::string dir = fresh_dir(name);
+  std::filesystem::copy_file(setup_snapshot_path(seed),
+                             setup_snapshot_path(dir));
+  return dir;
+}
+
 TEST_F(CacheFaultTest, CorruptSnapshotQuarantinedOnce) {
-  const ContextLibrary& library = shared_flow().context_library();
   const std::string dir = fresh_dir("quarantine");
-  const ContextCache cache(library);
-  const std::string path = cache.cache_file_path(dir);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << std::string(64, '\x42');
-  }
+  const std::string path = setup_snapshot_path(dir);
+  std::ofstream(path, std::ios::binary) << std::string(64, '\x42');
 
   const std::uint64_t quarantined_before =
-      MetricsRegistry::global().counter("context_cache.quarantined").value();
-  EXPECT_FALSE(cache.try_load(dir));
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_TRUE(quarantine_exists(path));
+      MetricsRegistry::global().counter("flow.setup_quarantined").value();
+  const SvaFlow flow(cached_config(dir));
+  EXPECT_FALSE(flow.setup_from_cache());
+  EXPECT_EQ(quarantine_count(path), 1u);
   EXPECT_EQ(
-      MetricsRegistry::global().counter("context_cache.quarantined").value(),
+      MetricsRegistry::global().counter("flow.setup_quarantined").value(),
       quarantined_before + 1);
-  EXPECT_EQ(Diagnostics::global().count_code("cache_quarantined"), 1u);
+  EXPECT_EQ(Diagnostics::global().count_code("setup_quarantined"), 1u);
 
-  // The next run sees a clean miss, not a re-parse of the bad file.
-  const ContextCache cold(library);
-  EXPECT_FALSE(cold.try_load(dir));
-  EXPECT_EQ(Diagnostics::global().count_code("cache_quarantined"), 1u);
+  // The cold construction replaced the bad file with a healthy snapshot,
+  // so the next run starts warm instead of re-parsing the bad one.
+  const SvaFlow next(cached_config(dir));
+  EXPECT_TRUE(next.setup_from_cache());
+  EXPECT_EQ(Diagnostics::global().count_code("setup_quarantined"), 1u);
+  EXPECT_EQ(quarantine_count(path), 1u);
 }
 
 TEST_F(CacheFaultTest, InjectedLoadFaultQuarantines) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::string dir = fresh_dir("loadfault");
-  const ContextCache seed(library);
-  seed.version_lengths(0, version_key(0, library.bins().count()));
-  seed.save(dir);
-
-  FailPoints::set("context_cache.load", "throw");
-  const ContextCache cache(library);
-  EXPECT_FALSE(cache.try_load(dir));
-  EXPECT_GE(FailPoints::fired_count("context_cache.load"), 1u);
-  EXPECT_TRUE(quarantine_exists(cache.cache_file_path(dir)));
-  EXPECT_EQ(Diagnostics::global().count_code("cache_quarantined"), 1u);
+  const std::string dir = seeded_dir("loadfault");
+  FailPoints::set("flow.setup_load", "throw");
+  const SvaFlow flow(cached_config(dir));
+  EXPECT_FALSE(flow.setup_from_cache());
+  EXPECT_GE(FailPoints::fired_count("flow.setup_load"), 1u);
+  EXPECT_TRUE(quarantine_exists(setup_snapshot_path(dir)));
+  EXPECT_EQ(Diagnostics::global().count_code("setup_quarantined"), 1u);
 }
 
 TEST_F(CacheFaultTest, ReadFaultDoesNotQuarantineTheFile) {
-  const ContextLibrary& library = shared_flow().context_library();
-  const std::string dir = fresh_dir("readfault");
-  const ContextCache seed(library);
-  seed.version_lengths(0, version_key(0, library.bins().count()));
-  seed.save(dir);
+  const std::string dir = seeded_dir("readfault");
+  const std::string path = setup_snapshot_path(dir);
 
   // Transport failure on every attempt: degrade to a cold start but leave
   // the (possibly fine) file in place.
   FailPoints::set("serialize.read", "throw");
-  const ContextCache cache(library);
-  EXPECT_FALSE(cache.try_load(dir));
-  EXPECT_TRUE(std::filesystem::exists(cache.cache_file_path(dir)));
-  EXPECT_EQ(Diagnostics::global().count_code("cache_read_failed"), 1u);
-  EXPECT_EQ(Diagnostics::global().count_code("cache_quarantined"), 0u);
+  const SvaFlow flow(cached_config(dir));
+  EXPECT_FALSE(flow.setup_from_cache());
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(quarantine_exists(path));
+  EXPECT_EQ(Diagnostics::global().count_code("setup_read_failed"), 1u);
+  EXPECT_EQ(Diagnostics::global().count_code("setup_quarantined"), 0u);
 
-  // Once the transport heals, the untouched snapshot loads cleanly.
+  // Once the transport heals, the snapshot loads cleanly.
   FailPoints::clear_all();
-  const ContextCache healed(library);
-  EXPECT_TRUE(healed.try_load(dir));
+  const SvaFlow healed(cached_config(dir));
+  EXPECT_TRUE(healed.setup_from_cache());
 }
 
 TEST_F(CacheFaultTest, SaveFaultLeavesNoPartialFile) {
-  const ContextLibrary& library = shared_flow().context_library();
   const std::string dir = fresh_dir("savefault");
-  const ContextCache cache(library);
-  cache.version_lengths(0, version_key(0, library.bins().count()));
+  const std::string path = setup_snapshot_path(dir);
 
-  FailPoints::set("context_cache.save", "throw");
-  EXPECT_THROW(cache.save(dir), FailPointError);
+  // The snapshot write fails; construction itself must not.
+  FailPoints::set("serialize.write", "throw");
+  const SvaFlow flow(cached_config(dir));
+  EXPECT_GE(FailPoints::fired_count("serialize.write"), 1u);
+  EXPECT_FALSE(flow.setup_from_cache());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
+        << entry.path();
   FailPoints::clear_all();
-  EXPECT_FALSE(std::filesystem::exists(cache.cache_file_path(dir)));
-  EXPECT_EQ(cache.save(dir), 1u);
+
+  // Nothing was persisted, so the next construction is cold as well.
+  const SvaFlow next(cached_config(dir));
+  EXPECT_FALSE(next.setup_from_cache());
+  EXPECT_TRUE(std::filesystem::exists(path));
 }
 
 TEST_F(CacheFaultTest, RenameFaultLeavesNoTempFiles) {
@@ -453,34 +480,37 @@ TEST_F(CacheFaultTest, RenameFaultLeavesNoTempFiles) {
 }
 
 TEST_F(CacheFaultTest, CorruptWriteIsRejectedAtLoad) {
-  const ContextLibrary& library = shared_flow().context_library();
   const std::string dir = fresh_dir("corruptwrite");
-  const ContextCache seed(library);
-  seed.version_lengths(0, version_key(0, library.bins().count()));
+  const std::string path = setup_snapshot_path(dir);
 
   // A corrupted save goes to disk (one payload byte flipped); the
   // checksum must catch it on load and quarantine the file.
   FailPoints::set("serialize.write", "corrupt");
-  seed.save(dir);
+  { const SvaFlow seed(cached_config(dir)); }
   FailPoints::clear_all();
+  ASSERT_TRUE(std::filesystem::exists(path));
 
-  const ContextCache cache(library);
-  EXPECT_FALSE(cache.try_load(dir));
-  EXPECT_TRUE(quarantine_exists(cache.cache_file_path(dir)));
-  EXPECT_EQ(cache.stats().characterized, 0u);
+  const SvaFlow flow(cached_config(dir));
+  EXPECT_FALSE(flow.setup_from_cache());
+  EXPECT_TRUE(quarantine_exists(path));
+  // The cold recomputation is the fault-free setup, bit for bit.
+  ASSERT_EQ(flow.library_opc_results().size(),
+            shared_flow().library_opc_results().size());
+  for (std::size_t i = 0; i < flow.library_opc_results().size(); ++i)
+    EXPECT_EQ(flow.library_opc_results()[i].device_cd,
+              shared_flow().library_opc_results()[i].device_cd);
 }
 
 TEST_F(CacheFaultTest, RepeatedQuarantinesNeverCollide) {
-  const ContextLibrary& library = shared_flow().context_library();
   const std::string dir = fresh_dir("quarantine_twice");
-  const ContextCache cache(library);
-  const std::string path = cache.cache_file_path(dir);
+  const std::string path = setup_snapshot_path(dir);
   // Two corruption episodes in a row: each quarantine must land in its
   // own uniquely-named file (pid + counter suffix), never clobber the
   // evidence of the previous one.
   for (int episode = 0; episode < 2; ++episode) {
     std::ofstream(path, std::ios::binary) << std::string(64, '\x42');
-    EXPECT_FALSE(cache.try_load(dir));
+    const SvaFlow flow(cached_config(dir));
+    EXPECT_FALSE(flow.setup_from_cache());
   }
   EXPECT_EQ(quarantine_count(path), 2u);
 }
@@ -1151,16 +1181,15 @@ using ChaosTest = RobustnessTest;
 /// fault is retried or degrades to a cold start, so analysis results must
 /// stay bit-identical to a fault-free run.
 bool analysis_safe_site(const std::string& site) {
-  return site.rfind("serialize.", 0) == 0 ||
-         site.rfind("context_cache.", 0) == 0 || site == "flow.setup_load" ||
+  return site.rfind("serialize.", 0) == 0 || site == "flow.setup_load" ||
          site == "cache.lock";
 }
 
 TEST_F(ChaosTest, EveryCatalogueSiteSurvivesProbabilisticFaults) {
   const std::vector<std::string> names = {"C432", "C880"};
 
-  // Fault-free seed run: builds the setup + context snapshots the chaos
-  // iterations warm-start from, and the bit-identical reference.
+  // Fault-free seed run: builds the setup snapshot the chaos iterations
+  // warm-start from, and the bit-identical reference.
   const std::string seed_dir = fresh_dir("chaos_seed");
   FlowConfig seed_cfg;
   seed_cfg.cache_dir = seed_dir;
@@ -1169,7 +1198,6 @@ TEST_F(ChaosTest, EveryCatalogueSiteSurvivesProbabilisticFaults) {
   std::vector<CircuitAnalysis> reference;
   for (const std::string& name : names)
     reference.push_back(seed_flow.analyze_benchmark(name));
-  seed_flow.save_context_cache(seed_dir);
 
   for (const std::string& site : FailPoints::catalogue()) {
     SCOPED_TRACE("failpoint " + site);
@@ -1189,13 +1217,6 @@ TEST_F(ChaosTest, EveryCatalogueSiteSurvivesProbabilisticFaults) {
     FlowConfig cfg;
     cfg.cache_dir = dir;
     const SvaFlow flow(cfg);
-    flow.try_load_context_cache(dir);
-    try {
-      flow.save_context_cache(dir);
-    } catch (const Error&) {
-      // An injected save/write fault is an acceptable outcome; the run
-      // itself continues (the CLI warns and moves on).
-    }
 
     ThreadPool pool(2);
     const BatchRunner runner(flow, pool);

@@ -312,8 +312,7 @@ void expect_matches_mc(const std::string& name) {
   const std::vector<VersionKey> versions = flow().bind_versions(placement);
   const SstaVariationModel model = default_model();
   const SstaEngine engine(nl, flow().characterized(), flow().context_library(),
-                          versions, model, flow().config().sta,
-                          &flow().context_cache());
+                          versions, model, flow().config().sta);
   const SstaResult ssta = engine.run();
 
   const Sta sta(nl, flow().characterized(), flow().config().sta);
@@ -362,8 +361,7 @@ SstaResult run_default_ssta(const std::string& name) {
   const Placement placement = flow().make_placement(nl);
   const std::vector<VersionKey> versions = flow().bind_versions(placement);
   const SstaEngine engine(nl, flow().characterized(), flow().context_library(),
-                          versions, default_model(), flow().config().sta,
-                          &flow().context_cache());
+                          versions, default_model(), flow().config().sta);
   return engine.run();
 }
 
@@ -426,8 +424,7 @@ TEST(SstaCancel, PreCancelledTokenYieldsCancelledResult) {
   const Placement placement = flow().make_placement(nl);
   const std::vector<VersionKey> versions = flow().bind_versions(placement);
   const SstaEngine engine(nl, flow().characterized(), flow().context_library(),
-                          versions, default_model(), flow().config().sta,
-                          &flow().context_cache());
+                          versions, default_model(), flow().config().sta);
   EXPECT_THROW(engine.run(&cancel), CancelledError);
 }
 
@@ -438,8 +435,7 @@ TEST(Criticality, ProbabilityMassIsConserved) {
   const Placement placement = flow().make_placement(nl);
   const std::vector<VersionKey> versions = flow().bind_versions(placement);
   const SstaEngine engine(nl, flow().characterized(), flow().context_library(),
-                          versions, default_model(), flow().config().sta,
-                          &flow().context_cache());
+                          versions, default_model(), flow().config().sta);
   const SstaResult ssta = engine.run();
 
   // Endpoint tightness is a probability distribution over POs.
